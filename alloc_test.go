@@ -48,7 +48,7 @@ func TestClustererRunAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{MinPts: 100, Method: Method2DGridBCP, Workers: 1, Shards: 1}
+	cfg := Config{MinPts: 100, Method: Method2DGridBCP, Workers: 1}
 	res, err := c.Run(cfg) // warm: lazy cell build + arena first fill
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestClustererRunAllocBudgetWorkers4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{MinPts: 100, Method: Method2DGridBCP, Workers: 4, Shards: 1}
+	cfg := Config{MinPts: 100, Method: Method2DGridBCP, Workers: 4}
 	res, err := c.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -189,33 +189,6 @@ func TestRunContextCancelMidRunThenIdentical(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelSharded exercises the sharded path explicitly.
-func TestRunContextCancelSharded(t *testing.T) {
-	rows := blobs(60000, 2, 24)
-	c, err := NewClusterer(rows, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{MinPts: 10, Shards: 4}
-	want, err := c.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, delay := range []time.Duration{0, time.Millisecond, 8 * time.Millisecond} {
-		ctx, cancel := context.WithCancel(context.Background())
-		time.AfterFunc(delay, cancel)
-		if _, rerr := c.RunContext(ctx, cfg); rerr != nil && !errors.Is(rerr, context.Canceled) {
-			t.Fatalf("sharded cancel: err = %v", rerr)
-		}
-		cancel()
-		got, err := c.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResultT(t, got, want, "sharded rerun after cancel")
-	}
-}
-
 // TestConcurrentCancelledAndCleanRuns mixes cancelled and uncancelled
 // concurrent runs on one Clusterer (shared arena, shared cells): the clean
 // runs must be unaffected. Run with -race.
@@ -392,8 +365,8 @@ func TestRunStatsRecorded(t *testing.T) {
 	if st.Workers < 1 {
 		t.Fatalf("Workers = %d", st.Workers)
 	}
-	if st.Shards < 1 {
-		t.Fatalf("Shards = %d", st.Shards)
+	if st.Shards != 1 {
+		t.Fatalf("Shards = %d, want 1 outside Spill runs", st.Shards)
 	}
 	// A cancelled run must not overwrite the stats.
 	ctx, cancel := context.WithCancel(context.Background())

@@ -36,12 +36,6 @@ type Clusterer struct {
 	grid lazyCells // grid layout (Section 4.1), any dimension
 	box  lazyCells // box layout (Section 4.2), 2D methods only
 
-	// parts caches the spatial partitions of the grid layout by shard
-	// count: like the cells they cut, they depend only on the points and
-	// eps, so a sweep of sharded Runs pays MakePartition's sorts once.
-	partMu sync.Mutex
-	parts  map[int]*grid.Partition
-
 	// samples caches the sampled-core masks by (sampler, fraction, seed):
 	// a mask depends only on the points and those three knobs, so a sweep of
 	// sampled Runs (or repeated service requests with one sampling config)
@@ -135,15 +129,12 @@ func (c *Clusterer) NumPoints() int { return c.pts.N }
 // Dims returns the dimensionality of the points.
 func (c *Clusterer) Dims() int { return c.pts.D }
 
-// validateBudgetConfig checks the scheduling fields (Workers, Shards) that
-// both Prepare and the Run-shaped entry points must reject — one function so
-// the conditions and messages cannot diverge.
-func validateBudgetConfig(cfg *Config) error {
+// validateWorkers checks the worker budget, which both Prepare and the
+// Run-shaped entry points must reject — one function so the condition and
+// message cannot diverge.
+func validateWorkers(cfg *Config) error {
 	if cfg.Workers < 0 {
 		return fmt.Errorf("pdbscan: Workers must be >= 0, got %d (0 means all CPUs)", cfg.Workers)
-	}
-	if cfg.Shards < 0 {
-		return fmt.Errorf("pdbscan: Shards must be >= 0, got %d (0 means auto, 1 forces the monolithic path)", cfg.Shards)
 	}
 	return nil
 }
@@ -312,30 +303,6 @@ func (c *Clusterer) sampleFor(cfg *Config, ex *parallel.Pool) ([]bool, error) {
 	return mask, nil
 }
 
-// partitionFor returns the cached partition of the grid cells for the given
-// shard count, building it on first use. Partitions are immutable once
-// built; the lock only serializes construction.
-func (c *Clusterer) partitionFor(cells *grid.Cells, shards int, ex *parallel.Pool) (*grid.Partition, error) {
-	c.partMu.Lock()
-	defer c.partMu.Unlock()
-	if p, ok := c.parts[shards]; ok {
-		return p, nil
-	}
-	p, err := grid.MakePartition(ex, cells, shards)
-	if err != nil {
-		return nil, err
-	}
-	// A partition cut on a cancelled pool may be arbitrary; never cache it.
-	if err := ex.Err(); err != nil {
-		return nil, err
-	}
-	if c.parts == nil {
-		c.parts = make(map[int]*grid.Partition)
-	}
-	c.parts[shards] = p
-	return p, nil
-}
-
 // Prepare eagerly builds the cell structure cfg's Method needs (the grid
 // layout, or the 2D box layout for 2d-box-* methods) with cfg.Workers,
 // without clustering. The structure is otherwise built lazily by the first
@@ -350,7 +317,7 @@ func (c *Clusterer) Prepare(cfg Config) (err error) {
 	if err := c.checkEps(cfg); err != nil {
 		return err
 	}
-	if err := validateBudgetConfig(&cfg); err != nil {
+	if err := validateWorkers(&cfg); err != nil {
 		return err
 	}
 	if c.store != nil && !cfg.Spill {
@@ -365,9 +332,6 @@ func (c *Clusterer) Prepare(cfg Config) (err error) {
 	useBox, err := resolveMethod(c.pts.D, &cfg, &params)
 	if err != nil {
 		return err
-	}
-	if resolveShards(&cfg, c.pts.N) > 1 {
-		useBox = false // a sharded Run will use the grid layout
 	}
 	_, err = c.cellsFor(useBox, parallel.NewPool(cfg.Workers))
 	return err
@@ -437,8 +401,8 @@ func (c *Clusterer) RunContext(ctx context.Context, cfg Config) (res *Result, er
 	}
 	if cfg.Spill {
 		// Out-of-core: sweep the store's shards one halo window at a time.
-		// Validate already rejected Sampler and explicit Shards; the shard
-		// schedule is the store's layout.
+		// Validate already rejected Sampler; the shard schedule is the
+		// store's layout.
 		if c.store == nil {
 			return nil, fmt.Errorf("pdbscan: Spill requires a store-backed Clusterer (OpenStoreClusterer)")
 		}
@@ -447,11 +411,11 @@ func (c *Clusterer) RunContext(ctx context.Context, cfg Config) (res *Result, er
 			return nil, err
 		}
 		total := time.Since(start)
-		phases := tm.Mark + tm.Collect + tm.Graph + tm.Merge + tm.Label + tm.Border
+		phases := tm.Mark + tm.Collect + tm.Graph + tm.Label + tm.Border
 		c.statsMu.Lock()
 		c.lastStats = RunStats{
 			MarkCore:           tm.Mark,
-			ClusterCore:        tm.Collect + tm.Graph + tm.Merge,
+			ClusterCore:        tm.Collect + tm.Graph,
 			Border:             tm.Label + tm.Border,
 			Build:              total - phases,
 			Total:              total,
@@ -481,43 +445,13 @@ func (c *Clusterer) RunContext(ctx context.Context, cfg Config) (res *Result, er
 		}
 		params.Sample = mask
 	}
-	var cres *core.Result
-	shards := resolveShards(&cfg, c.pts.N)
-	if shards > 1 {
-		// The sharded path cuts the anchored lattice, so it always runs on
-		// the grid layout — 2d-box-* methods keep their connectivity
-		// strategy but are served by grid cells (identical clustering; see
-		// Config.Shards).
-		cells, err := c.cellsFor(false, ex)
-		if err != nil {
-			return nil, err
-		}
-		part, err := c.partitionFor(cells, shards, ex)
-		if err != nil {
-			return nil, err
-		}
-		if part.NumShards <= 1 {
-			// The occupied lattice offered nothing to cut (a single slab on
-			// every axis); the monolithic phases parallelize better than a
-			// one-shard run would.
-			shards = 1
-			cres, err = core.Run(cells, params)
-		} else {
-			shards = part.NumShards
-			cres, err = core.RunSharded(cells, params, part)
-		}
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		cells, err := c.cellsFor(useBox, ex)
-		if err != nil {
-			return nil, err
-		}
-		cres, err = core.Run(cells, params)
-		if err != nil {
-			return nil, err
-		}
+	cells, err := c.cellsFor(useBox, ex)
+	if err != nil {
+		return nil, err
+	}
+	cres, err := core.Run(cells, params)
+	if err != nil {
+		return nil, err
 	}
 	if c.store != nil {
 		// Store-backed payloads are laid out in store order; hand results
@@ -528,11 +462,11 @@ func (c *Clusterer) RunContext(ctx context.Context, cfg Config) (res *Result, er
 	c.statsMu.Lock()
 	c.lastStats = RunStats{
 		MarkCore:    tm.Mark,
-		ClusterCore: tm.Collect + tm.Graph + tm.Merge,
+		ClusterCore: tm.Collect + tm.Graph,
 		Border:      tm.Label + tm.Border,
-		Build:       total - (tm.Mark + tm.Collect + tm.Graph + tm.Merge + tm.Label + tm.Border),
+		Build:       total - (tm.Mark + tm.Collect + tm.Graph + tm.Label + tm.Border),
 		Total:       total,
-		Shards:      shards,
+		Shards:      1,
 		Workers:     ex.Workers(),
 	}
 	c.statsMu.Unlock()

@@ -55,6 +55,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 )
@@ -93,16 +94,19 @@ type apiHeadline struct {
 
 // scaleHeadline is the subset of the BENCH_scale.json schema the gate reads.
 type scaleHeadline struct {
-	NumCPU         int     `json:"num_cpu"`
-	ThreadSweep    []int   `json:"thread_sweep"`
-	TopSelfSpeedup float64 `json:"top_self_speedup"`
-	Sampled        []struct {
-		Dataset string  `json:"dataset"`
-		Sampler string  `json:"sampler"`
-		Frac    float64 `json:"frac"`
-		Speedup float64 `json:"speedup"`
-		ARI     float64 `json:"ari"`
-	} `json:"sampled"`
+	NumCPU         int               `json:"num_cpu"`
+	ThreadSweep    []int             `json:"thread_sweep"`
+	TopSelfSpeedup float64           `json:"top_self_speedup"`
+	Sampled        []sampledHeadline `json:"sampled"`
+}
+
+// sampledHeadline is one sampled-core row of BENCH_scale.json.
+type sampledHeadline struct {
+	Dataset string  `json:"dataset"`
+	Sampler string  `json:"sampler"`
+	Frac    float64 `json:"frac"`
+	Speedup float64 `json:"speedup"`
+	ARI     float64 `json:"ari"`
 }
 
 // oocHeadline is the subset of the BENCH_ooc.json schema the gate reads.
@@ -170,6 +174,7 @@ const (
 // gate accumulates the run's verdict: soft regressions (warnings, errors
 // under -strict) and hard failures (correctness invariants, always errors).
 type gate struct {
+	out       io.Writer // annotations and verdict lines
 	strict    bool
 	regressed bool
 	hardFail  bool
@@ -181,12 +186,12 @@ func (g *gate) warn(format string, args ...any) {
 		level = "error"
 	}
 	g.regressed = true
-	fmt.Printf("::"+level+" ::"+format+"\n", args...)
+	fmt.Fprintf(g.out, "::"+level+" ::"+format+"\n", args...)
 }
 
 func (g *gate) fail(format string, args ...any) {
 	g.hardFail = true
-	fmt.Printf("::error ::"+format+"\n", args...)
+	fmt.Fprintf(g.out, "::error ::"+format+"\n", args...)
 }
 
 // check flags a ratio metric that dropped more than the grace below its
@@ -210,7 +215,7 @@ func main() {
 	strict := flag.Bool("strict", false, "exit non-zero (and annotate as errors) on regression")
 	flag.Parse()
 
-	g := &gate{strict: *strict}
+	g := &gate{out: os.Stdout, strict: *strict}
 
 	fresh, err := readHeadline(*freshPath)
 	if err != nil {
@@ -218,38 +223,19 @@ func main() {
 		os.Exit(1)
 	}
 	if fresh != nil {
-		g.check("headline_2d_grid_speedup", fresh.Headline2DGridSpeedup, floorSpeedup, "acceptance floor")
-		g.check("headline_alloc_ratio", fresh.HeadlineAllocRatio, floorAllocRatio, "acceptance floor")
-		if fresh.HeadlineLayoutSpeedup > 0 {
-			g.check("headline_layout_speedup", fresh.HeadlineLayoutSpeedup, floorLayoutSpeedup, "acceptance floor")
-		} else {
-			fmt.Println("::notice ::benchgate: report predates the layout modes (headline_layout_speedup absent); layout floor skipped")
-		}
-
+		var base *hotHeadline
 		if *basePath != "" {
-			base, err := readHeadline(*basePath)
-			switch {
-			case err != nil:
+			base, err = readHeadline(*basePath)
+			if err != nil {
 				// An unreadable baseline is not a regression — the first run
 				// that generates one has nothing to compare against.
 				fmt.Printf("::notice ::benchgate: no usable baseline (%v); checked acceptance floors only\n", err)
-			case base == nil:
-				// readHeadline already printed the missing-file notice.
-			case base.Threads != fresh.Threads:
-				// A baseline measured at a different worker count is not
-				// comparable even on ratio metrics (parallel overheads scale
-				// with it); refuse it rather than let a thread-count change
-				// masquerade as a perf change in either direction.
-				fmt.Printf("::notice ::benchgate: baseline recorded at threads=%d but fresh report at threads=%d; thread-mismatched baselines are not comparable, checked acceptance floors only\n",
-					base.Threads, fresh.Threads)
-			default:
-				g.check("headline_2d_grid_speedup", fresh.Headline2DGridSpeedup, base.Headline2DGridSpeedup, "committed baseline")
-				g.check("headline_alloc_ratio", fresh.HeadlineAllocRatio, base.HeadlineAllocRatio, "committed baseline")
-				if fresh.HeadlineLayoutSpeedup > 0 && base.HeadlineLayoutSpeedup > 0 {
-					g.check("headline_layout_speedup", fresh.HeadlineLayoutSpeedup, base.HeadlineLayoutSpeedup, "committed baseline")
-				}
+				base = nil
 			}
+			// A missing file yields nil; readHeadline already printed the
+			// notice.
 		}
+		g.gateHot(fresh, base)
 	}
 
 	if *scalePath != "" {
@@ -320,18 +306,46 @@ func main() {
 	}
 }
 
+// gateHot checks the hot-path ratios against their acceptance floors and,
+// when base is non-nil, against the committed baseline.
+func (g *gate) gateHot(fresh, base *hotHeadline) {
+	g.check("headline_2d_grid_speedup", fresh.Headline2DGridSpeedup, floorSpeedup, "acceptance floor")
+	g.check("headline_alloc_ratio", fresh.HeadlineAllocRatio, floorAllocRatio, "acceptance floor")
+	if fresh.HeadlineLayoutSpeedup > 0 {
+		g.check("headline_layout_speedup", fresh.HeadlineLayoutSpeedup, floorLayoutSpeedup, "acceptance floor")
+	} else {
+		fmt.Fprintln(g.out, "::notice ::benchgate: report predates the layout modes (headline_layout_speedup absent); layout floor skipped")
+	}
+	switch {
+	case base == nil:
+	case base.Threads != fresh.Threads:
+		// A baseline measured at a different worker count is not comparable
+		// even on ratio metrics (parallel overheads scale with it); refuse
+		// it rather than let a thread-count change masquerade as a perf
+		// change in either direction.
+		fmt.Fprintf(g.out, "::notice ::benchgate: baseline recorded at threads=%d but fresh report at threads=%d; thread-mismatched baselines are not comparable, checked acceptance floors only\n",
+			base.Threads, fresh.Threads)
+	default:
+		g.check("headline_2d_grid_speedup", fresh.Headline2DGridSpeedup, base.Headline2DGridSpeedup, "committed baseline")
+		g.check("headline_alloc_ratio", fresh.HeadlineAllocRatio, base.HeadlineAllocRatio, "committed baseline")
+		if fresh.HeadlineLayoutSpeedup > 0 && base.HeadlineLayoutSpeedup > 0 {
+			g.check("headline_layout_speedup", fresh.HeadlineLayoutSpeedup, base.HeadlineLayoutSpeedup, "committed baseline")
+		}
+	}
+}
+
 func (g *gate) gateScale(scale *scaleHeadline) {
 	if len(scale.ThreadSweep) < 2 {
 		g.fail("scale: thread sweep covers %d worker count(s); the scaling report requires at least two", len(scale.ThreadSweep))
 	}
 	if scale.NumCPU <= 1 {
-		fmt.Printf("::notice ::scale: runner has %d CPU; self-relative scaling floor (%.1fx) not applicable, skipped\n",
+		fmt.Fprintf(g.out, "::notice ::scale: runner has %d CPU; self-relative scaling floor (%.1fx) not applicable, skipped\n",
 			scale.NumCPU, floorScaleSpeedup)
 	} else if scale.TopSelfSpeedup < floorScaleSpeedup*grace {
 		g.warn("scale: top self-relative speedup %.2fx at %d threads (%d CPUs), more than 10%% below the %.1fx floor",
 			scale.TopSelfSpeedup, scale.ThreadSweep[len(scale.ThreadSweep)-1], scale.NumCPU, floorScaleSpeedup)
 	} else {
-		fmt.Printf("benchgate: scale ok (self-relative %.2fx at %d threads on %d CPUs)\n",
+		fmt.Fprintf(g.out, "benchgate: scale ok (self-relative %.2fx at %d threads on %d CPUs)\n",
 			scale.TopSelfSpeedup, scale.ThreadSweep[len(scale.ThreadSweep)-1], scale.NumCPU)
 	}
 	// Sampled-core acceptance, per dataset: among the rows at frac <=
@@ -362,7 +376,7 @@ func (g *gate) gateScale(scale *scaleHeadline) {
 			g.warn("scale: %s: best accurate sampled-core speedup %.2fx, more than 10%% below the %.1fx floor",
 				ds, best, floorSampledSpeedup)
 		default:
-			fmt.Printf("benchgate: scale sampled ok (%s: %.2fx at ARI >= %.2f)\n", ds, best, floorSampledARI)
+			fmt.Fprintf(g.out, "benchgate: scale sampled ok (%s: %.2fx at ARI >= %.2f)\n", ds, best, floorSampledARI)
 		}
 	}
 }
@@ -377,12 +391,12 @@ func (g *gate) gateServe(serve *serveHeadline) {
 	}
 	switch {
 	case serve.CancelledMidCluster == 0:
-		fmt.Printf("::notice ::serve: no trial was cancelled mid-run at n=%d; latency floor not exercised\n", serve.N)
+		fmt.Fprintf(g.out, "::notice ::serve: no trial was cancelled mid-run at n=%d; latency floor not exercised\n", serve.N)
 	case time.Duration(serve.CancelLatencyMaxNS) > floorCancelLatency:
 		g.warn("serve: cancellation latency max %v exceeds the %v acceptance floor",
 			time.Duration(serve.CancelLatencyMaxNS), floorCancelLatency)
 	default:
-		fmt.Printf("benchgate: serve ok (cancel latency max %v <= %v over %d trials, recovery equal, budget conformant)\n",
+		fmt.Fprintf(g.out, "benchgate: serve ok (cancel latency max %v <= %v over %d trials, recovery equal, budget conformant)\n",
 			time.Duration(serve.CancelLatencyMaxNS), floorCancelLatency, serve.CancelledMidCluster)
 	}
 }
@@ -413,7 +427,7 @@ func (g *gate) gateAPI(api *apiHeadline) {
 		g.warn("api: end-to-end p99 %v exceeds the %v ceiling", time.Duration(api.LatencyP99NS), ceilAPIE2EP99)
 	}
 	if api.BudgetConformant && api.RetryAfterAlways && api.ErrorsOther == 0 && api.DrainedCleanly {
-		fmt.Printf("benchgate: api ok (%d sessions, %d requests, %d runs, 429 rate %.1f%%, queue p99 %v, e2e p99 %v)\n",
+		fmt.Fprintf(g.out, "benchgate: api ok (%d sessions, %d requests, %d runs, 429 rate %.1f%%, queue p99 %v, e2e p99 %v)\n",
 			api.Sessions, api.Requests, api.RunsCompleted, 100*api.Rate429,
 			time.Duration(api.QueueP99NS).Round(time.Microsecond),
 			time.Duration(api.LatencyP99NS).Round(time.Microsecond))
@@ -431,7 +445,7 @@ func (g *gate) gateEmst(emst *emstHeadline) {
 		g.warn("emst: sweep amortization %.2fx, more than 10%% below the %.1fx acceptance floor",
 			emst.AmortizationRatio, floorEmstAmortization)
 	} else if emst.QueriesEqual {
-		fmt.Printf("benchgate: emst ok (amortization %.2fx >= %.2f at n=%d, all cuts equal)\n",
+		fmt.Fprintf(g.out, "benchgate: emst ok (amortization %.2fx >= %.2f at n=%d, all cuts equal)\n",
 			emst.AmortizationRatio, floorEmstAmortization*grace, emst.N)
 	}
 }
@@ -461,7 +475,7 @@ func (g *gate) gateOoc(ooc *oocHeadline) {
 		ok = false
 	}
 	if ok {
-		fmt.Printf("benchgate: ooc ok (n=%d, dataset %.1fx budget, peak window %.2fx budget, spill wall %.2fx in-RAM, labels equal)\n",
+		fmt.Fprintf(g.out, "benchgate: ooc ok (n=%d, dataset %.1fx budget, peak window %.2fx budget, spill wall %.2fx in-RAM, labels equal)\n",
 			ooc.N, float64(ooc.DatasetBytes)/float64(ooc.BudgetBytes),
 			float64(ooc.PeakResidentBytes)/float64(ooc.BudgetBytes),
 			float64(ooc.OOCWallNS)/float64(ooc.InRAMWallNS))

@@ -72,7 +72,7 @@ type hotReport struct {
 // Clusterer.Run before this optimization pass (commit 371f3d5: generic
 // distance loops, per-run scratch rebuild, per-pair BCP filter allocations),
 // on exactly the headline configuration: ss-varden-2d n=100k seed=1,
-// eps=1000, minPts=100, method 2d-grid-bcp, Workers=1, Shards=1, measured
+// eps=1000, minPts=100, method 2d-grid-bcp, Workers=1, measured
 // with testing.AllocsPerRun. Allocation counts are deterministic for a fixed
 // configuration and worker budget (they do not depend on machine speed), so
 // the pinned value remains comparable across hosts. Per-op allocations are

@@ -24,7 +24,7 @@ type options struct {
 	seed     int64
 	threads  int // 0 = all
 	full     bool
-	jsonPath string // stream/shard experiments: write BENCH_*.json here
+	jsonPath string // experiments with a report: write BENCH_*.json here
 }
 
 var experiments = map[string]struct {
@@ -42,9 +42,8 @@ var experiments = map[string]struct {
 	"ablation": {"design-choice ablations: neighbor finding, MarkCore strategy, bucketing batches", expAblation},
 	"verify":   {"cross-variant agreement at scale (all exact variants identical)", expVerify},
 	"stream":   {"sliding-window streaming ticks: incremental vs from-scratch (-json records BENCH_stream.json)", expStream},
-	"shard":    {"sharded partition/merge path vs monolithic (-json records BENCH_shard.json)", expShard},
 	"hot":      {"clustering-phase hot path: specialized kernels + arena vs generic fallback (-json records BENCH_hot.json)", expHot},
-	"scale":    {"multi-core scaling per method (monolithic + sharded) and sampled-core DBSCAN++ accuracy/speedup (-json records BENCH_scale.json)", expScale},
+	"scale":    {"multi-core scaling per method and sampled-core DBSCAN++ accuracy/speedup (-json records BENCH_scale.json)", expScale},
 	"serve":    {"serving path: cancellation latency mid-run + Engine throughput under mixed jobs (-json records BENCH_serve.json)", expServe},
 	"emst":     {"EMST-backed hierarchy: one build amortized over a 16-eps sweep vs independent runs (-json records BENCH_emst.json)", expEmst},
 	"api":      {"HTTP serving layer under hundreds of concurrent mixed sessions (-json records BENCH_api.json)", expAPI},
@@ -58,7 +57,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "dataset generation seed")
 	flag.IntVar(&o.threads, "threads", 0, "thread count for non-scaling experiments (0 = all)")
 	flag.BoolVar(&o.full, "full", false, "run all 11 datasets in fig6/7/8 instead of the default subset")
-	flag.StringVar(&o.jsonPath, "json", "", "stream/shard experiments: write the machine-readable report to this file (e.g. BENCH_stream.json, BENCH_shard.json)")
+	flag.StringVar(&o.jsonPath, "json", "", "experiments with a report: write the machine-readable report to this file (e.g. BENCH_stream.json, BENCH_scale.json)")
 	flag.Parse()
 
 	if *exp == "" {

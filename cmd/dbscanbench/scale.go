@@ -9,17 +9,16 @@ import (
 	"pdbscan/internal/metrics"
 )
 
-// scaleSeries is one (method, execution mode) scaling curve: clustering-phase
-// latency at each swept worker count on a shared prepared Clusterer.
+// scaleSeries is one method's scaling curve: clustering-phase latency at
+// each swept worker count on a shared prepared Clusterer.
 type scaleSeries struct {
 	Method string `json:"method"`
-	Mode   string `json:"mode"` // "monolithic" (Shards=1) or "sharded" (Shards=auto)
 	// ThreadNS[i] is the measured run at ThreadSweep[i] workers (GOMAXPROCS
 	// pinned to the same count, so the runtime really uses that many CPUs).
 	ThreadNS []int64 `json:"thread_ns"`
 	// SelfSpeedup[i] = ThreadNS[0] / ThreadNS[i] (1-worker run of this series
 	// as the base); VsBestSerial[i] uses the fastest 1-worker run across all
-	// monolithic series instead, the paper's Figure 8 convention.
+	// series instead, the paper's Figure 8 convention.
 	SelfSpeedup  []float64 `json:"self_speedup"`
 	VsBestSerial []float64 `json:"vs_best_serial"`
 	Clusters     int       `json:"clusters"`
@@ -52,9 +51,9 @@ type sampledRow struct {
 }
 
 // scaleReport is the BENCH_scale.json schema: multi-core scaling curves per
-// method for both execution modes, plus the sampled-core accuracy/speedup
-// trade-off rows benchgate -scale gates. NumCPU is recorded so the gate can
-// tell a regression from a machine that cannot scale (one hardware CPU).
+// method, plus the sampled-core accuracy/speedup trade-off rows benchgate
+// -scale gates. NumCPU is recorded so the gate can tell a regression from a
+// machine that cannot scale (one hardware CPU).
 type scaleReport struct {
 	Dataset string  `json:"dataset"`
 	N       int     `json:"n"`
@@ -77,7 +76,7 @@ type scaleReport struct {
 }
 
 // expScale measures multi-core scaling (1..NumCPU workers, self-relative and
-// vs the best serial run, monolithic and sharded) and the sampled-core
+// vs the best serial run) and the sampled-core
 // approximate mode (DBSCAN++: speedup and ARI/NMI vs exact per dataset).
 // With -json it records BENCH_scale.json for cmd/benchgate -scale.
 func expScale(o options) {
@@ -107,7 +106,7 @@ func expScale(o options) {
 	}
 
 	// Clustering-phase timing: warm once per configuration (lazy structures,
-	// partition caches), measure the second run under pinned GOMAXPROCS.
+	// pooled scratch), measure the second run under pinned GOMAXPROCS.
 	measure := func(cfg pdbscan.Config, threads int) (time.Duration, *pdbscan.Result) {
 		old := runtime.GOMAXPROCS(threads)
 		defer runtime.GOMAXPROCS(old)
@@ -124,33 +123,27 @@ func expScale(o options) {
 	}
 
 	methods := []pdbscan.Method{pdbscan.Method2DGridBCP, pdbscan.MethodExact}
-	modes := []struct {
-		name   string
-		shards int
-	}{{"monolithic", 1}, {"sharded", 0}}
 
 	tbl := newTable(fmt.Sprintf("multi-core scaling (clustering phase): n=%d eps=%g minPts=%d numCPU=%d",
 		pts.N, eps, minPts, rep.NumCPU),
-		"method", "mode", "threads", "run", "self-speedup")
+		"method", "threads", "run", "self-speedup")
 	for _, m := range methods {
-		for _, mode := range modes {
-			s := scaleSeries{Method: string(m), Mode: mode.name}
-			for _, th := range sweep {
-				dur, res := measure(pdbscan.Config{MinPts: minPts, Method: m, Shards: mode.shards}, th)
-				s.ThreadNS = append(s.ThreadNS, dur.Nanoseconds())
-				s.Clusters = res.NumClusters
-				tbl.add(string(m), mode.name, fmt.Sprint(th), fmtDur(dur),
-					fmtSpeedup(time.Duration(s.ThreadNS[0]), dur))
-			}
-			for _, ns := range s.ThreadNS {
-				s.SelfSpeedup = append(s.SelfSpeedup, float64(s.ThreadNS[0])/float64(ns))
-			}
-			if mode.shards == 1 && (rep.BestSerialNS == 0 || s.ThreadNS[0] < rep.BestSerialNS) {
-				rep.BestSerialNS = s.ThreadNS[0]
-				rep.BestSerialMethod = string(m)
-			}
-			rep.Series = append(rep.Series, s)
+		s := scaleSeries{Method: string(m)}
+		for _, th := range sweep {
+			dur, res := measure(pdbscan.Config{MinPts: minPts, Method: m}, th)
+			s.ThreadNS = append(s.ThreadNS, dur.Nanoseconds())
+			s.Clusters = res.NumClusters
+			tbl.add(string(m), fmt.Sprint(th), fmtDur(dur),
+				fmtSpeedup(time.Duration(s.ThreadNS[0]), dur))
 		}
+		for _, ns := range s.ThreadNS {
+			s.SelfSpeedup = append(s.SelfSpeedup, float64(s.ThreadNS[0])/float64(ns))
+		}
+		if rep.BestSerialNS == 0 || s.ThreadNS[0] < rep.BestSerialNS {
+			rep.BestSerialNS = s.ThreadNS[0]
+			rep.BestSerialMethod = string(m)
+		}
+		rep.Series = append(rep.Series, s)
 	}
 	for i := range rep.Series {
 		s := &rep.Series[i]

@@ -61,7 +61,7 @@ func expServe(o options) {
 		N: pts.N, Eps: eps, MinPts: minPts, Threads: threads,
 		RecoveredEqual: true,
 	}
-	cfg := pdbscan.Config{MinPts: minPts, Workers: o.threads, Shards: 1}
+	cfg := pdbscan.Config{MinPts: minPts, Workers: o.threads}
 
 	c, err := pdbscan.NewClustererFlat(pts.Data, pts.D, eps)
 	if err != nil {

@@ -53,6 +53,27 @@ import (
 	"pdbscan/serve"
 )
 
+// Slow-client bounds of the API listener: a client has readHeaderTimeout to
+// send its request line and headers (a slowloris connection trickling
+// header bytes is closed), and a keep-alive connection idle for idleTimeout
+// is closed. Bodies and responses stay unbounded on purpose — a body can be
+// a large point set, and a wait=true response lasts as long as its run.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newAPIServer builds the API listener's http.Server with the slow-client
+// bounds.
+func newAPIServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	budget := flag.Int("budget", 0, "total worker budget shared by all jobs (0 = GOMAXPROCS)")
@@ -84,7 +105,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dbscand: restored %d streaming session(s) from %s\n", n, *snapshotDir)
 		}
 	}
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := newAPIServer(*addr, srv)
 
 	var ps *http.Server
 	if *pprofAddr != "" {

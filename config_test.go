@@ -23,7 +23,7 @@ func TestConfigValidateTable(t *testing.T) {
 		{"valid auto method", func(c *Config) { c.Method = MethodAuto }, ""},
 		{"valid every method", func(c *Config) { c.Method = Method2DBoxDelaunay }, ""},
 		{"valid rho", func(c *Config) { c.Method = MethodApprox; c.Rho = 0.1 }, ""},
-		{"valid workers/shards/buckets", func(c *Config) { c.Workers = 4; c.Shards = 7; c.Buckets = 8; c.Bucketing = true }, ""},
+		{"valid workers/buckets", func(c *Config) { c.Workers = 4; c.Buckets = 8; c.Bucketing = true }, ""},
 
 		{"negative eps", func(c *Config) { c.Eps = -1 }, "Eps"},
 		{"NaN eps", func(c *Config) { c.Eps = math.NaN() }, "Eps"},
@@ -35,26 +35,22 @@ func TestConfigValidateTable(t *testing.T) {
 		{"NaN rho", func(c *Config) { c.Rho = math.NaN() }, "Rho"},
 		{"Inf rho", func(c *Config) { c.Rho = math.Inf(-1) }, "Rho"},
 		{"negative workers", func(c *Config) { c.Workers = -1 }, "Workers"},
-		{"negative shards", func(c *Config) { c.Shards = -2 }, "Shards"},
 		{"negative buckets", func(c *Config) { c.Buckets = -1 }, "Buckets"},
 
 		{"valid uniform sampler", func(c *Config) { c.Sampler = SamplerUniform; c.SampleFrac = 0.1 }, ""},
 		{"valid kcenter sampler full frac", func(c *Config) { c.Sampler = SamplerKCenter; c.SampleFrac = 1 }, ""},
-		{"valid sampler with monolithic shards", func(c *Config) { c.Sampler = SamplerUniform; c.SampleFrac = 0.5; c.Shards = 1 }, ""},
 		{"unknown sampler", func(c *Config) { c.Sampler = "bogus"; c.SampleFrac = 0.1 }, "sampler"},
 		{"frac without sampler", func(c *Config) { c.SampleFrac = 0.1 }, "SampleFrac"},
 		{"sampler without frac", func(c *Config) { c.Sampler = SamplerUniform }, "SampleFrac"},
 		{"frac above one", func(c *Config) { c.Sampler = SamplerUniform; c.SampleFrac = 1.5 }, "SampleFrac"},
 		{"negative frac", func(c *Config) { c.Sampler = SamplerKCenter; c.SampleFrac = -0.2 }, "SampleFrac"},
 		{"NaN frac", func(c *Config) { c.Sampler = SamplerUniform; c.SampleFrac = math.NaN() }, "SampleFrac"},
-		{"sampler with multi-shard", func(c *Config) { c.Sampler = SamplerUniform; c.SampleFrac = 0.1; c.Shards = 2 }, "Shards"},
 
 		{"valid spill", func(c *Config) { c.Spill = true }, ""},
 		{"valid spill with budget", func(c *Config) { c.Spill = true; c.MaxResidentBytes = 1 << 20 }, ""},
 		{"negative budget", func(c *Config) { c.Spill = true; c.MaxResidentBytes = -1 }, "MaxResidentBytes"},
 		{"budget without spill", func(c *Config) { c.MaxResidentBytes = 1 << 20 }, "Spill"},
 		{"spill with sampler", func(c *Config) { c.Spill = true; c.Sampler = SamplerUniform; c.SampleFrac = 0.1 }, "Sampler"},
-		{"spill with shards", func(c *Config) { c.Spill = true; c.Shards = 4 }, "Shards"},
 	}
 	for _, tc := range cases {
 		cfg := valid
@@ -86,11 +82,9 @@ func TestValidateMatchesRunRejection(t *testing.T) {
 		{Eps: 2, MinPts: 5, Method: "bogus"},
 		{Eps: 2, MinPts: 5, Rho: -1},
 		{Eps: 2, MinPts: 5, Workers: -1},
-		{Eps: 2, MinPts: 5, Shards: -1},
 		{Eps: 2, MinPts: 5, Buckets: -1},
 		{Eps: 2, MinPts: 5, Sampler: "bogus", SampleFrac: 0.1},
 		{Eps: 2, MinPts: 5, Sampler: SamplerUniform},
-		{Eps: 2, MinPts: 5, Sampler: SamplerUniform, SampleFrac: 0.1, Shards: 2},
 	}
 	c, err := NewClusterer(rows, 2)
 	if err != nil {

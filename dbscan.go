@@ -30,11 +30,10 @@
 // Cluster and Clusterer.Run calls may run concurrently — each honors its own
 // Workers budget.
 //
-// At scale, runs execute through a sharded partition/merge architecture: the
-// cell lattice is cut into contiguous spatial shards clustered independently
-// and stitched by a boundary-merge pass. Config.Shards controls it (0 = auto
-// from the point count and worker budget); results are identical to the
-// monolithic path for every method.
+// In-memory batch runs take one execution path: the phases of the paper's
+// Algorithm 1, each a parallel loop over cells. Out-of-core runs
+// (Config.Spill) sweep an on-disk cell store one shard window at a time, and
+// StreamingClusterer reruns only the cells a tick dirtied.
 package pdbscan
 
 import (
@@ -44,7 +43,6 @@ import (
 	"time"
 
 	"pdbscan/internal/grid"
-	"pdbscan/internal/parallel"
 )
 
 // checkCoords validates every coordinate of a point set against the cell
@@ -167,30 +165,6 @@ type Config struct {
 	// Workers caps the number of OS-level workers used by parallel loops;
 	// 0 means all available CPUs.
 	Workers int
-	// Shards selects the sharded execution path: the anchored cell lattice
-	// is split into Shards contiguous spatial blocks with eps-wide halos,
-	// each block is clustered independently, and a boundary-merge pass
-	// stitches the blocks by evaluating only the cell-graph edges that cross
-	// a cut. Results are identical to the monolithic path (Shards = 1) for
-	// every method, exact and approximate, up to cluster label permutation —
-	// and bit-identical whenever the method runs on the grid layout.
-	//
-	// 0 means auto: batch runs (Cluster, Clusterer.Run) pick roughly one
-	// shard per 64k points, capped at 4x the worker budget and at 1 when
-	// Bucketing is set (sharding subsumes the bucketed traversal, so auto
-	// defers to the explicit scheduling request); StreamingClusterer.Run
-	// always resolves auto to 1, because a sharded run cannot reuse the
-	// incremental caches — set Shards explicitly to shard a streaming run,
-	// accepting a full recompute. 1 forces the monolithic path. The count is
-	// clamped to the occupied lattice (a shard cannot be thinner than one
-	// cell slab). Negative values are rejected.
-	//
-	// The 2d-box-* methods are served by the grid cell layout when
-	// Shards > 1 (the box strips have no lattice to cut); the connectivity
-	// strategy is preserved and the clustering is identical, as for every
-	// exact method.
-	Shards int
-
 	// Sampler enables the DBSCAN++ sampled-core approximate mode: core
 	// status is computed only for a sample of SampleFrac*n points (their
 	// decisions stay exact — the counting set is all points), the sampled
@@ -202,8 +176,8 @@ type Config struct {
 	// BENCH_scale.json. Results are deterministic for a fixed (Sampler,
 	// SampleFrac, SampleSeed) at any Workers count.
 	//
-	// Sampled runs are monolithic and batch-only: Shards must be 0 or 1
-	// (auto resolves to 1), and StreamingClusterer rejects samplers.
+	// Sampled runs are batch-only: StreamingClusterer and Spill reject
+	// samplers.
 	Sampler Sampler
 	// SampleFrac is the sampled fraction m/n, in (0, 1]; required when
 	// Sampler is set, rejected when it is not. 1 samples every point, which
@@ -216,11 +190,11 @@ type Config struct {
 	// Spill selects the out-of-core execution path: shards are swept one halo
 	// window at a time from the on-disk cell store, so only a sliver of the
 	// point data is ever resident. Requires a store-backed Clusterer
-	// (OpenStoreClusterer); the shard schedule comes from the store's layout,
-	// so Shards must be 0, and samplers are rejected (their counting set is
-	// the whole dataset). Labels are bit-identical to an in-RAM run for every
-	// grid-layout method and permutation-equal for the 2d-box-* methods
-	// (which the store serves from the grid layout, as sharding does).
+	// (OpenStoreClusterer); the shard schedule comes from the store's layout
+	// (see Clusterer.WriteStore), and samplers are rejected (their counting
+	// set is the whole dataset). Labels are bit-identical to an in-RAM run for
+	// every grid-layout method and permutation-equal for the 2d-box-* methods
+	// (which the store serves from the grid layout).
 	// StreamingClusterer rejects Spill — its state is the in-memory dynamic
 	// grid; use Snapshot/RestoreStreaming to persist a stream.
 	Spill bool
@@ -263,7 +237,7 @@ func (cfg *Config) Validate() error {
 	if math.IsNaN(cfg.Rho) || math.IsInf(cfg.Rho, 0) || cfg.Rho < 0 {
 		return fmt.Errorf("pdbscan: Rho must be finite and >= 0, got %v (0 selects the default of 0.01 for approximate methods)", cfg.Rho)
 	}
-	if err := validateBudgetConfig(cfg); err != nil {
+	if err := validateWorkers(cfg); err != nil {
 		return err
 	}
 	if cfg.Buckets < 0 {
@@ -278,9 +252,6 @@ func (cfg *Config) Validate() error {
 		if math.IsNaN(cfg.SampleFrac) || cfg.SampleFrac <= 0 || cfg.SampleFrac > 1 {
 			return fmt.Errorf("pdbscan: SampleFrac must be in (0, 1] with Sampler %q, got %v", cfg.Sampler, cfg.SampleFrac)
 		}
-		if cfg.Shards > 1 {
-			return fmt.Errorf("pdbscan: sampled-core runs are monolithic; Shards must be 0 or 1 with Sampler %q, got %d", cfg.Sampler, cfg.Shards)
-		}
 	default:
 		return fmt.Errorf("pdbscan: unknown sampler %q", cfg.Sampler)
 	}
@@ -290,43 +261,10 @@ func (cfg *Config) Validate() error {
 	if cfg.MaxResidentBytes > 0 && !cfg.Spill {
 		return fmt.Errorf("pdbscan: MaxResidentBytes requires Spill (it budgets the out-of-core window)")
 	}
-	if cfg.Spill {
-		if cfg.Sampler != SamplerNone {
-			return fmt.Errorf("pdbscan: sampled-core runs are in-RAM only; Spill rejects Sampler %q", cfg.Sampler)
-		}
-		if cfg.Shards != 0 {
-			return fmt.Errorf("pdbscan: Spill derives its shard schedule from the store layout; Shards must be 0, got %d", cfg.Shards)
-		}
+	if cfg.Spill && cfg.Sampler != SamplerNone {
+		return fmt.Errorf("pdbscan: sampled-core runs are in-RAM only; Spill rejects Sampler %q", cfg.Sampler)
 	}
 	return nil
-}
-
-// autoShardPoints is the point count one auto-selected shard targets: small
-// enough that multi-million-point inputs decompose well past the worker
-// count, large enough that per-shard bookkeeping never dominates.
-const autoShardPoints = 1 << 16
-
-// resolveShards maps cfg.Shards to the effective shard count for a batch run
-// over n points: explicit counts pass through, 0 applies the auto heuristic
-// documented on Config.Shards.
-func resolveShards(cfg *Config, n int) int {
-	if cfg.Sampler != SamplerNone {
-		return 1 // sampled-core runs are monolithic (Validate rejects Shards > 1)
-	}
-	if cfg.Shards > 0 {
-		return cfg.Shards
-	}
-	if cfg.Bucketing {
-		return 1
-	}
-	s := n / autoShardPoints
-	if w := 4 * parallel.NewPool(cfg.Workers).Workers(); s > w {
-		s = w
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
 }
 
 // Result is the clustering output.
@@ -422,25 +360,23 @@ func ClusterFlatContext(ctx context.Context, data []float64, dims int, cfg Confi
 // RunStats reports the phase breakdown of a batch run (Clusterer.Run or
 // RunContext), retrievable with Clusterer.LastRunStats. Durations are
 // wall-clock; phases overlap nothing, so Build + MarkCore + ClusterCore +
-// Border ~= Total (Build absorbs structure construction, partitioning, and
-// the run's fixed bookkeeping, and is near zero once the eps-keyed cell
-// structure is cached).
+// Border ~= Total (Build absorbs structure construction and the run's fixed
+// bookkeeping, and is near zero once the eps-keyed cell structure is
+// cached).
 type RunStats struct {
 	// Build is the time this run spent outside the pipeline phases: cell
-	// structure construction (first run per layout only), partition cuts,
-	// validation, and result assembly.
+	// structure construction (first run per layout only), validation, and
+	// result assembly.
 	Build time.Duration
 	// MarkCore is Algorithm 2 (core-point marking).
 	MarkCore time.Duration
-	// ClusterCore covers core collection, the cell graph (Algorithm 3), and
-	// — on sharded runs — the boundary merge.
+	// ClusterCore covers core collection and the cell graph (Algorithm 3).
 	ClusterCore time.Duration
 	// Border covers dense label assignment and ClusterBorder (Algorithm 4).
 	Border time.Duration
 	// Total is the end-to-end wall time of the run.
 	Total time.Duration
-	// Shards is the effective shard count the run executed with (1 =
-	// monolithic).
+	// Shards is the store's shard count on a Spill run and 1 otherwise.
 	Shards int
 	// Workers is the effective worker budget of the run.
 	Workers int

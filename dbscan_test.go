@@ -164,14 +164,9 @@ func TestConfigValidation(t *testing.T) {
 		{"negative workers", Config{Eps: 1, MinPts: 5, Workers: -1}, false},
 		{"negative buckets", Config{Eps: 1, MinPts: 5, Buckets: -3, Bucketing: true}, false},
 		{"negative buckets without bucketing", Config{Eps: 1, MinPts: 5, Buckets: -1}, false},
-		{"negative shards", Config{Eps: 1, MinPts: 5, Shards: -1}, false},
-		{"very negative shards", Config{Eps: 1, MinPts: 5, Shards: -64}, false},
 		{"valid default buckets", Config{Eps: 1, MinPts: 5, Bucketing: true}, true},
 		{"valid explicit buckets", Config{Eps: 1, MinPts: 5, Bucketing: true, Buckets: 1}, true},
 		{"valid zero workers", Config{Eps: 1, MinPts: 5, Workers: 0}, true},
-		{"valid auto shards", Config{Eps: 1, MinPts: 5, Shards: 0}, true},
-		{"valid explicit shards", Config{Eps: 1, MinPts: 5, Shards: 3}, true},
-		{"valid shards beyond cells", Config{Eps: 1, MinPts: 5, Shards: 1000}, true},
 	}
 	for _, c := range cases {
 		_, err := Cluster(rows, c.cfg)

@@ -97,7 +97,7 @@ type Request struct {
 	// CutEpsContext) on a prebuilt hierarchy. Config.Eps must pass the
 	// hierarchy's ValidateEps; Config.MinPts must be 0 or the hierarchy's
 	// own MinPts (the hierarchy fixes it at build time). Fields that only
-	// configure a full run (Method, Rho, Shards, ...) are ignored.
+	// configure a full run (Method, Rho, Bucketing, ...) are ignored.
 	Hierarchy *pdbscan.Hierarchy
 	// Config is the run configuration. Config.Workers is the job's worker
 	// cap, drawn from the Engine's shared budget while the job runs; 0 (or

@@ -358,7 +358,6 @@ func TestEngineSubmitValidation(t *testing.T) {
 		{"hierarchy plus clusterer", Request{Clusterer: c, Hierarchy: h, Config: pdbscan.Config{Eps: 2, MinPts: 5}}},
 		{"hierarchy plus streaming", Request{Streaming: s, Hierarchy: h, Config: pdbscan.Config{Eps: 2, MinPts: 5}}},
 		{"bad config", Request{Clusterer: c, Config: pdbscan.Config{Eps: 2, MinPts: 0}}},
-		{"negative shards", Request{Clusterer: c, Config: pdbscan.Config{Eps: 2, MinPts: 5, Shards: -1}}},
 		{"hierarchy zero eps", Request{Hierarchy: h, Config: pdbscan.Config{Eps: 0}}},
 		{"hierarchy eps beyond build", Request{Hierarchy: h, Config: pdbscan.Config{Eps: 2.5}}},
 		{"hierarchy mismatched minpts", Request{Hierarchy: h, Config: pdbscan.Config{Eps: 1, MinPts: 7}}},

@@ -3,6 +3,7 @@ package pdbscan
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -156,18 +157,17 @@ func FuzzStreamingOps(f *testing.F) {
 	})
 }
 
-// FuzzShardedCluster feeds arbitrary bytes as 2D points plus a shard count
-// and differentially checks the sharded path against the monolithic one on
-// the identical input: label-permutation-equal results for a rotating method
-// (exact and approx), and oracle conformance for the exact ones. The fuzz
-// surface is the partition geometry — cut placement, halo width, boundary
-// dedup — under adversarial point layouts; the seeded corpus includes a
-// boundary-straddling chain at exact-eps spacing, the layout most likely to
-// shatter at a cut.
-func FuzzShardedCluster(f *testing.F) {
-	// A cluster chain along x at exact-eps spacing (eps = 0.1+16/8 = 2.1 at
-	// epsQ=16 ... the chain spacing 1.0 keeps pairs connected for most eps),
-	// plus scattered noise. Every cut through the chain splits a cluster.
+// FuzzClusterOracle2D feeds arbitrary bytes as 2D points and holds every
+// listed method to the brute-force oracle on the identical input: exact
+// methods must reproduce BruteDBSCAN, the approximate one must satisfy
+// Gan–Tao validity against it. The fuzz surface is cell geometry — points on
+// cell edges, exact-eps pairs across cells, duplicate stacks — under
+// adversarial layouts; the seeded corpus includes a chain at exact-eps
+// spacing that crosses a cell boundary at every link.
+func FuzzClusterOracle2D(f *testing.F) {
+	// A cluster chain along x at spacing 1.0 with alternating y jitter
+	// 0.25: at epsQ 8 (eps 1.1) every link is connected, and each one
+	// crosses cells.
 	chain := make([]byte, 0, 24*16)
 	for i := 0; i < 24; i++ {
 		var p [16]byte
@@ -175,10 +175,10 @@ func FuzzShardedCluster(f *testing.F) {
 		binary.LittleEndian.PutUint64(p[8:], uint64(i%2*25)) // y jitter 0.25
 		chain = append(chain, p[:]...)
 	}
-	f.Add(chain, uint8(8), uint8(2), uint8(5))
-	f.Add(bytes.Repeat([]byte{7, 3}, 40), uint8(3), uint8(1), uint8(2))
-	f.Add([]byte{255, 255, 0, 0, 128, 64, 32, 16, 8, 4, 2, 1, 9, 9, 9, 9}, uint8(50), uint8(3), uint8(255))
-	f.Fuzz(func(t *testing.T, raw []byte, epsQ, minPtsQ, shardsQ uint8) {
+	f.Add(chain, uint8(8), uint8(2))
+	f.Add(bytes.Repeat([]byte{7, 3}, 40), uint8(3), uint8(1))
+	f.Add([]byte{255, 255, 0, 0, 128, 64, 32, 16, 8, 4, 2, 1, 9, 9, 9, 9}, uint8(50), uint8(3))
+	f.Fuzz(func(t *testing.T, raw []byte, epsQ, minPtsQ uint8) {
 		if len(raw) < 16 {
 			return
 		}
@@ -197,30 +197,9 @@ func FuzzShardedCluster(f *testing.F) {
 		}
 		eps := 0.1 + float64(epsQ)/8
 		minPts := 1 + int(minPtsQ)%6
-		shards := 2 + int(shardsQ)%15
-		methods := []Method{MethodExact, MethodExactQt, Method2DGridUSEC, Method2DGridDelaunay, MethodApprox}
-		m := methods[(int(epsQ)+int(shardsQ))%len(methods)]
-		cfg := Config{Eps: eps, MinPts: minPts, Method: m}
-		mono, err := Cluster(rows, cfg)
-		if err != nil {
-			t.Fatalf("monolithic rejected valid input: %v", err)
-		}
-		shCfg := cfg
-		shCfg.Shards = shards
-		sh, err := Cluster(rows, shCfg)
-		if err != nil {
-			t.Fatalf("sharded rejected valid input: %v", err)
-		}
-		if err := equivalentResults(sh, mono); err != nil {
-			t.Fatalf("%s eps=%v minPts=%d shards=%d n=%d: sharded vs monolithic: %v",
-				m, eps, minPts, shards, n, err)
-		}
-		if m != MethodApprox {
-			pts, _ := geom.FromRows(rows)
-			ref := metrics.BruteDBSCAN(pts, eps, minPts)
-			if err := metrics.SameDBSCANResult(ref, sh.Core, sh.Labels, sh.Border, sh.NumClusters); err != nil {
-				t.Fatalf("%s eps=%v minPts=%d shards=%d n=%d: oracle: %v", m, eps, minPts, shards, n, err)
-			}
+		for _, m := range []Method{MethodExact, MethodExactQt, Method2DGridUSEC, Method2DGridDelaunay, MethodApprox} {
+			oracleCheck(t, rows, Config{Eps: eps, MinPts: minPts, Method: m},
+				fmt.Sprintf("%s eps=%v minPts=%d n=%d", m, eps, minPts, n))
 		}
 	})
 }
@@ -232,12 +211,12 @@ func FuzzShardedCluster(f *testing.F) {
 // resets depending on the previous query — must be label-permutation-equal
 // to a from-scratch Cluster at the same radius. The fuzz surface is the
 // replay state machine under adversarial query orders and the exact-
-// threshold edge cases; the seeded corpus includes the shard suite's
+// threshold edge cases; the seeded corpus includes the oracle fuzzer's
 // exact-eps chain, where every query at the chain spacing is a boundary
 // decision.
 func FuzzHierarchyCut(f *testing.F) {
 	// Chain along x at exact spacing 1.0 with alternating y jitter (the
-	// FuzzShardedCluster layout): queried at the spacing itself, every link
+	// FuzzClusterOracle2D layout): queried at the spacing itself, every link
 	// is a d == eps inclusive-boundary case.
 	chain := make([]byte, 0, 24*16)
 	for i := 0; i < 24; i++ {
@@ -309,7 +288,7 @@ func FuzzHierarchyCut(f *testing.F) {
 // method × dimension; the layouts differ only in where the kernels read
 // coordinates from, so any divergence is an index-space translation bug.
 func FuzzLayoutEquivalence(f *testing.F) {
-	// Exact-eps chain (the FuzzShardedCluster layout): cell-boundary
+	// Exact-eps chain (the FuzzClusterOracle2D layout): cell-boundary
 	// decisions on every link.
 	chain := make([]byte, 0, 24*16)
 	for i := 0; i < 24; i++ {

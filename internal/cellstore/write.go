@@ -1,18 +1,18 @@
 package cellstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
-	"os"
 
+	"pdbscan/internal/atomicfile"
 	"pdbscan/internal/grid"
 )
 
 // Write persists the grid cell structure c, laid out shard-contiguously by
-// part, to path (via a temp file + rename, so a crash never leaves a partial
-// store behind). c must be a grid construction (Coords non-nil) and part a
+// part, to path (through atomicfile, so a crash never leaves a partial or
+// empty store behind). c must be a grid construction (Coords non-nil) and part a
 // partition of exactly c's cells.
 func Write(path string, c *grid.Cells, part *grid.Partition) error {
 	if c.Coords == nil || c.Anchor == nil {
@@ -112,37 +112,25 @@ func Write(path string, c *grid.Cells, part *grid.Partition) error {
 	sum := fnvSum(fnvSum(fnvNew(), hdr[0:56]), meta)
 	binary.LittleEndian.PutUint64(hdr[56:64], sum)
 
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp) // no-op after the rename succeeds
-	w := bufio.NewWriterSize(f, 1<<20)
-	w.Write(hdr[:])
-	w.Write(meta)
-	for pad := dataOff - uint64(headerSize) - metaLen; pad > 0; pad-- {
-		w.WriteByte(0)
-	}
-	var row [8]byte
-	for _, g := range order {
-		for _, p := range c.PointsOf(int(g)) {
-			base := int(p) * d
-			for j := 0; j < d; j++ {
-				binary.LittleEndian.PutUint64(row[:], math.Float64bits(c.Pts.Data[base+j]))
-				if _, err := w.Write(row[:]); err != nil {
-					f.Close()
-					return err
+	return atomicfile.Write(path, func(w io.Writer) error {
+		pad := make([]byte, dataOff-uint64(headerSize)-metaLen)
+		for _, b := range [][]byte{hdr[:], meta, pad} {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+		}
+		var row [8]byte
+		for _, g := range order {
+			for _, p := range c.PointsOf(int(g)) {
+				base := int(p) * d
+				for j := 0; j < d; j++ {
+					binary.LittleEndian.PutUint64(row[:], math.Float64bits(c.Pts.Data[base+j]))
+					if _, err := w.Write(row[:]); err != nil {
+						return err
+					}
 				}
 			}
 		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+		return nil
+	})
 }

@@ -57,14 +57,13 @@ type runScratch struct {
 
 // workerScratch is the pooled per-worker state of the parallel hot loops.
 type workerScratch struct {
-	gf, hf    []int32   // bcpConnected: box-filtered core point lists
-	found     []int32   // clusterBorder: distinct cluster labels of one point
-	sure      []int32   // clusterBorder: labels certain for a whole cell
-	cand      []int32   // clusterBorder: cells needing per-point scans
-	nbrOrder  []int32   // markCellCore: neighbor cells, ascending box distance
-	nbrDist   []float64 // markCellCore: the distances of nbrOrder
-	cellOrder []int32   // clusterShard: per-shard size-sorted owned core cells
-	sorter    nbrSorter // markCellCore: allocation-free sort.Sort adapter
+	gf, hf   []int32   // bcpConnected: box-filtered core point lists
+	found    []int32   // clusterBorder: distinct cluster labels of one point
+	sure     []int32   // clusterBorder: labels certain for a whole cell
+	cand     []int32   // clusterBorder: cells needing per-point scans
+	nbrOrder []int32   // markCellCore: neighbor cells, ascending box distance
+	nbrDist  []float64 // markCellCore: the distances of nbrOrder
+	sorter   nbrSorter // markCellCore: allocation-free sort.Sort adapter
 
 	kthHeap   []float64    // cellCoreDistances: bounded max-heap of the k smallest d2
 	mrEdges   []MREdge     // mrEdgeParts: per-block candidate edge buffer

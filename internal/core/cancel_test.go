@@ -106,49 +106,6 @@ func TestRunCancelPhaseBoundaryAllStrategies(t *testing.T) {
 	}
 }
 
-// TestRunShardedCancelAtEveryPhaseBoundary is the sharded-path variant,
-// covering the boundary-merge phase the monolithic path does not have.
-func TestRunShardedCancelAtEveryPhaseBoundary(t *testing.T) {
-	pts := clusteredPoints(8000, 2, 100, 11)
-	cells := buildGridCells(pts, 2.0)
-	part, err := grid.MakePartition(nil, cells, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if part.NumShards < 2 {
-		t.Fatalf("partition produced %d shards, want >= 2", part.NumShards)
-	}
-	arena := NewArena()
-	base := Params{MinPts: 10, Graph: GraphBCP, Arena: arena}
-	want, err := RunSharded(cells, base, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, phase := range []string{"mark", "graph", "merge", "label", "border", "done"} {
-		ctx, cancel := context.WithCancel(context.Background())
-		p := base
-		p.Exec = parallel.NewPoolContext(ctx, 0)
-		p.PhaseHook = func(name string) {
-			if name == phase {
-				cancel()
-			}
-		}
-		res, err := RunSharded(cells, p, part)
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("sharded cancel at %q: err = %v, want context.Canceled", phase, err)
-		}
-		if res != nil {
-			t.Fatalf("sharded cancel at %q: got a result alongside the error", phase)
-		}
-		got, err := RunSharded(cells, base, part)
-		if err != nil {
-			t.Fatalf("sharded run after cancel at %q: %v", phase, err)
-		}
-		sameCoreResult(t, got, want, "sharded rerun after cancel at "+phase)
-	}
-}
-
 // TestRunIncrementalCancelPoisonsCache cancels an incremental tick at each
 // phase boundary and asserts the half-absorbed cache is marked not-reusable
 // (Fresh reports true), so the next tick recomputes from scratch and matches
@@ -212,7 +169,7 @@ func TestRunIncrementalCancelPoisonsCache(t *testing.T) {
 
 // TestRunUncancelledContextIdentical pins that merely running under a live
 // (never-cancelled) context changes nothing: results are bit-identical to a
-// context-free run, for the monolithic and sharded paths.
+// context-free run.
 func TestRunUncancelledContextIdentical(t *testing.T) {
 	pts := clusteredPoints(5000, 3, 100, 17)
 	cells := buildGridCells(pts, 3.0)

@@ -100,7 +100,7 @@ func (st *pipeline) coreSizeLess(a, b int32) bool {
 // connectFn returns the cell-pair connectivity predicate of the configured
 // graph strategy, allocating whatever lazy per-cell state the strategy needs.
 // The predicate is a pure deterministic function of the cell pair (given the
-// core point sets), which is what lets the sharded and incremental paths
+// core point sets), which is what lets the out-of-core and incremental paths
 // evaluate edges in any order — or skip already-connected ones — and still
 // land on the exact connected components of the full edge set. Not valid for
 // GraphDelaunay, whose connectivity is a whole-triangulation computation
@@ -127,9 +127,9 @@ func (st *pipeline) connectFn() connectFunc {
 // processPair evaluates the cell-graph edge between core cell g and its
 // neighbor h (in either cell order): skip non-core cells, filter by the core
 // bounding boxes, prune pairs already connected in the union-find, and union
-// on a positive connectivity answer. Shared verbatim by the monolithic batch
-// traversal and the sharded intra-shard and boundary-merge passes, so every
-// path applies the identical edge function.
+// on a positive connectivity answer. Shared verbatim by the batch traversal
+// and the out-of-core and incremental passes, so every path applies the
+// identical edge function.
 func (st *pipeline) processPair(g, h int32, connect connectFunc, ws *workerScratch) {
 	if len(st.corePts[g]) == 0 || len(st.corePts[h]) == 0 {
 		return // not a core cell pair
@@ -243,20 +243,9 @@ func (st *pipeline) approxConnected(g, h int32, _ *workerScratch) bool {
 // (Section 4.4): triangulate all core points, keep inter-cell edges of
 // length at most eps (parallel filter), and union the endpoints' cells.
 func (st *pipeline) clusterCoreDelaunay() {
-	st.delaunayUnion(st.coreCells)
-}
-
-// delaunayUnion triangulates the core points of the given cells and unions
-// the cells joined by an inter-cell edge of length at most eps. The cell list
-// is the whole core-cell set for the monolithic path and one shard's owned
-// core cells for the sharded path: the triangulation of any point subset
-// still contains its Euclidean MST, whose edges realize every eps-connection
-// within the subset, so per-shard triangulations plus exact cross-boundary
-// BCP edges reach exactly the exact-DBSCAN components.
-func (st *pipeline) delaunayUnion(cellList []int32) {
-	// Gather the core points of the listed cells.
+	// Gather the core points of the core cells.
 	total := 0
-	for _, g := range cellList {
+	for _, g := range st.coreCells {
 		total += len(st.corePts[g])
 	}
 	if total == 0 || st.cancelled() {
@@ -265,7 +254,7 @@ func (st *pipeline) delaunayUnion(cellList []int32) {
 		return
 	}
 	all := make([]int32, 0, total)
-	for _, g := range cellList {
+	for _, g := range st.coreCells {
 		all = append(all, st.corePts[g]...)
 	}
 	if st.contig {

@@ -68,7 +68,7 @@ func NewIncremental() *Incremental {
 
 // Fresh reports whether the cache has absorbed no run yet — the next
 // RunIncremental on it recomputes everything regardless of the DirtyInfo.
-// Callers use it to report full rebuilds (e.g. after a sharded run dropped
+// Callers use it to report full rebuilds (e.g. after a failed run dropped
 // the caches) honestly in their stats.
 func (inc *Incremental) Fresh() bool { return !inc.valid }
 

@@ -33,21 +33,28 @@ type OOCStats struct {
 // RunOutOfCore executes the pipeline over a cell store without ever holding
 // the whole dataset in memory: shards are swept in order, and each turn maps
 // only the shard's halo window — the contiguous byte range holding the shard
-// plus every shard owning one of its halo cells, which is exactly the state
-// the partition/merge argument of RunSharded says a shard needs (core
-// marking reads halo points; cross-shard cell-graph edges join two cells that
-// are each in the other's halo).
+// plus every shard owning one of its halo cells. That is all a shard needs:
+// core marking reads only points within eps, all in halo cells, and a
+// cell-graph edge that crosses a shard cut joins two cells that are each in
+// the other's halo.
 //
-// Exactness mirrors RunSharded: each turn rebuilds the window's cell
-// structure with BuildGrid (absolute lattice anchoring places every point in
-// a bit-identically positioned cell, and the store preserves within-cell
-// point order, so every geometric predicate evaluates on identical operands),
-// core flags are decomposable and accumulate in a global store-order array,
-// and all unions go into one global union-find over the *writer's* original
-// cell ids — union-by-min-index roots and DenseRoots label assignment then
+// The result equals Run's on the in-RAM cells. Each turn rebuilds the
+// window's cell structure straight from the store (absolute lattice
+// anchoring places every point in a bit-identically positioned cell, and the
+// store preserves within-cell point order, so every geometric predicate
+// evaluates on identical operands). Core flags are decomposable — a point's
+// flag depends only on points within eps — and accumulate in a global
+// store-order array. Every per-pair connectivity predicate is a pure
+// function of the cell pair, so the components do not depend on which turn
+// evaluates an edge, or whether it is skipped as already connected. All
+// unions go into one global union-find over the *writer's* original cell
+// ids, where union-by-min-index roots and DenseRoots label assignment
 // reproduce the in-RAM run's labels bit-for-bit. Cross-window pairs are
 // evaluated exactly once, by the later shard's turn (the earlier shard's
-// cells are part of the later window by the halo invariant).
+// cells are part of the later window by the halo invariant). Delaunay turns
+// triangulate the shard's own core points — the triangulation of any point
+// subset contains the subset's Euclidean MST, so it realizes every
+// eps-connection within the shard — and join shards with exact BCP edges.
 //
 // maxResidentBytes > 0 is a hard budget on a single window mapping: a window
 // that exceeds it fails the run with an error naming the shortfall (rewrite
@@ -345,7 +352,7 @@ func (r *oocRun) markTurn(s int) error {
 	var connect connectFunc
 	if st.p.Graph == GraphDelaunay {
 		// Intra-shard connectivity via this shard's own triangulation (it
-		// contains the owned core subset's EMST), exactly as RunSharded.
+		// contains the owned core subset's EMST; see RunOutOfCore).
 		r.delaunayTurn(t, owned)
 		connect = st.bcpConnected // backward cross edges: exact BCP
 	} else {

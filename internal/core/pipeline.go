@@ -113,7 +113,7 @@ type Params struct {
 
 	// PhaseHook, when non-nil, is called on the run's goroutine at the start
 	// of each pipeline phase with the phase's name: "mark", "collect",
-	// "graph", "merge" (sharded only), "label", "border" — and, for
+	// "graph", "label", "border" — and, for
 	// ComputeHierarchy builds, "coredist", "edges", "mst". It exists for
 	// observability and for tests that need a deterministic point inside a
 	// run (the cancellation suite cancels a context from it); it must be
@@ -121,15 +121,12 @@ type Params struct {
 	PhaseHook func(phase string)
 }
 
-// PhaseTimings records how long each pipeline phase of one run took. The
-// sharded path reports its per-shard mark+collect pass as Mark, its
-// intra-shard graph pass as Graph, and its boundary pass as Merge; the
-// monolithic and incremental paths leave Merge zero.
+// PhaseTimings records how long each pipeline phase of one run took.
 type PhaseTimings struct {
 	Mark    time.Duration // MarkCore (Algorithm 2)
 	Collect time.Duration // per-cell core lists, boxes, core-cell set
 	Graph   time.Duration // ClusterCore cell graph (Algorithm 3)
-	Merge   time.Duration // sharded boundary merge (RunSharded only)
+	Merge   time.Duration // always zero; perfbench still reads it
 	Label   time.Duration // dense label assignment
 	Border  time.Duration // ClusterBorder (Algorithm 4)
 
@@ -320,8 +317,6 @@ func (st *pipeline) phase(name string) error {
 			st.phaseDur = &tm.Collect
 		case "graph":
 			st.phaseDur = &tm.Graph
-		case "merge":
-			st.phaseDur = &tm.Merge
 		case "label":
 			st.phaseDur = &tm.Label
 		case "border":
@@ -384,8 +379,8 @@ func Run(cells *grid.Cells, p Params) (*Result, error) {
 }
 
 // initCoreState readies the per-cell core buffers (lists, flat backing,
-// bounding boxes) from the run scratch — shared by the monolithic and
-// sharded batch paths. Every cell's entries are overwritten by
+// bounding boxes) from the run scratch — shared by the in-RAM and
+// out-of-core batch paths. Every cell's entries are overwritten by
 // collectCellCore before any read, so no clearing is needed.
 func (st *pipeline) initCoreState() {
 	c := st.cells
@@ -413,8 +408,8 @@ func (st *pipeline) collectCore() {
 }
 
 // collectCellCore derives cell g's core point list and core bounding box from
-// the core flags (the per-cell body shared by collectCore, the sharded path,
-// and the incremental path — one implementation, so the paths can never
+// the core flags (the per-cell body shared by collectCore, the out-of-core
+// path, and the incremental path — one implementation, so the paths can never
 // desynchronize). All-core cells alias the cell's point list. Small cells
 // write into their disjoint region of the flat coreStore when the batch
 // scratch provides one; the incremental path (coreStore nil) counts the set

@@ -2,197 +2,19 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"pdbscan/internal/grid"
 )
 
-// RunSharded executes the pipeline as a partition/merge computation over a
-// spatial Partition of the cell lattice: every shard marks cores, collects
-// per-cell core state, and builds the intra-shard cell graph independently
-// (shards run in parallel on the executor, each one serially — shard-level
-// parallelism replaces the phase-level parallel loops of Run), then a
-// boundary-merge pass evaluates only the cell-graph edges that cross shard
-// cuts and stitches the shard-local components together in the global
-// lock-free union-find. Labels and borders are derived exactly as in Run.
-//
-// The result is identical to Run on the same cells — bit-for-bit, not merely
-// up to label permutation — for every strategy including GraphApprox:
-//
-//   - Core flags are decomposable: a point's flag depends only on points
-//     within eps, all reachable through its cell's neighbor list regardless
-//     of which shard owns them (halo cells are read, never written).
-//   - Every per-pair connectivity predicate (connectFn) is a pure function
-//     of the cell pair, so the connected components equal those of the full
-//     edge set no matter which pass — intra-shard or boundary — evaluates an
-//     edge, or skips it as already connected. GraphDelaunay has no per-pair
-//     predicate; each shard triangulates its own core points (the subset
-//     triangulation contains the subset's Euclidean MST, preserving every
-//     intra-shard eps-connection) and boundary edges use exact BCP, which
-//     lands on the same exact components every exact strategy defines.
-//   - Union-by-index makes a component's root its minimum cell index —
-//     independent of union order — and DenseRoots assigns labels by root
-//     order, so equal components mean equal labels.
-//
-// Bucketing is a batch-scheduling heuristic of the monolithic traversal and
-// is subsumed here: each shard already processes its cells in size-sorted
-// order, serially, so earlier (larger) cells prune later queries within the
-// shard. Results are unaffected (the components do not depend on evaluation
-// order).
+// RunSharded checks that part is a Partition of exactly cells and then runs
+// Run; the result is Run's, bit for bit. It is not an execution path of its
+// own: in-memory runs parallelize inside each phase of Run and are never
+// sharded. It stays because code outside this module, such as the perfbench
+// replay, still calls it. Params.PhaseHook never sees a "merge" phase, and
+// PhaseTimings.Merge stays zero.
 func RunSharded(cells *grid.Cells, p Params, part *grid.Partition) (*Result, error) {
-	if err := validateParams(cells, &p); err != nil {
-		return nil, err
-	}
-	numCells := cells.NumCells()
-	if part == nil || len(part.ShardOf) != numCells {
+	if part == nil || len(part.ShardOf) != cells.NumCells() {
 		return nil, fmt.Errorf("core: RunSharded requires a Partition of the given cells")
 	}
-	if p.Sample != nil {
-		return nil, fmt.Errorf("core: sampled-core runs are monolithic (Run), not sharded")
-	}
-	st := newPipeline(cells, p)
-	defer st.release()
-
-	// Phase 1 — per shard: MarkCore then collect core state for every owned
-	// cell. Marking reads the points of neighbor cells wherever they live
-	// (halo reads are the only cross-shard traffic, and they are read-only);
-	// collection touches only the cell's own flags, set just before.
-	if err := st.phase("mark"); err != nil {
-		return nil, err
-	}
-	st.coreFlags = make([]bool, cells.Pts.N) // escapes into Result.Core
-	if st.p.Mark == MarkQuadtree {
-		st.rs.allTrees = lazyTreeBuf(st.rs.allTrees, numCells)
-		st.allTrees = st.rs.allTrees
-	}
-	st.initCoreState()
-	st.ex.ForGrain(part.NumShards, 1, func(s int) {
-		ws := st.getWS()
-		for _, g := range part.Owned[s] {
-			if st.cancelled() {
-				break
-			}
-			st.markCellCore(int(g), ws)
-		}
-		for _, g := range part.Owned[s] {
-			if st.cancelled() {
-				break
-			}
-			st.collectCellCore(int(g))
-		}
-		st.putWS(ws)
-	})
-	// st.coreCells stays nil: the monolithic traversal's global core-cell
-	// list has no sharded consumer — each shard derives its own from
-	// corePts, and labels/borders test corePts directly.
-
-	// Phase 2 — per shard: intra-shard cell graph. Unions stay within the
-	// shard's owned cells, so shards never contend; the union-find is global
-	// only so phase 3 can link across shards without re-indexing.
-	if err := st.phase("graph"); err != nil {
-		return nil, err
-	}
-	st.initUF(numCells)
-	var connect connectFunc
-	if st.p.Graph == GraphDelaunay {
-		connect = st.bcpConnected // boundary edges: exact per-pair predicate
-	} else {
-		connect = st.connectFn()
-	}
-	st.ex.ForGrain(part.NumShards, 1, func(s int) {
-		ws := st.getWS()
-		st.clusterShard(part, s, connect, ws)
-		st.putWS(ws)
-	})
-
-	// Phase 3 — boundary merge: evaluate the cell-graph edges that cross
-	// shard cuts. Only boundary cells can carry one; the higher-index cell
-	// evaluates each pair (same dedup rule as the monolithic traversal), so
-	// every cross edge is examined exactly once, by the owner of its higher
-	// cell. Cross-shard unions on the lock-free union-find are safe.
-	if err := st.phase("merge"); err != nil {
-		return nil, err
-	}
-	st.ex.ForGrain(part.NumShards, 1, func(s int) {
-		ws := st.getWS()
-		for _, g := range part.Boundary[s] {
-			if st.cancelled() {
-				break
-			}
-			if len(st.corePts[g]) == 0 {
-				continue
-			}
-			for _, h := range st.cells.Neighbors[g] {
-				if h >= g || part.ShardOf[h] == int32(s) {
-					continue
-				}
-				st.processPair(g, h, connect, ws)
-			}
-		}
-		st.putWS(ws)
-	})
-
-	if err := st.phase("label"); err != nil {
-		return nil, err
-	}
-	labels, numClusters := st.coreLabels()
-	if err := st.phase("border"); err != nil {
-		return nil, err
-	}
-	border := st.clusterBorder(labels, numClusters)
-	if err := st.phase("done"); err != nil {
-		return nil, err
-	}
-	return &Result{
-		Core:        st.coreFlags,
-		Labels:      labels,
-		Border:      border,
-		NumClusters: numClusters,
-	}, nil
-}
-
-// clusterShard builds the cell graph restricted to shard s: owned core cells
-// in size-sorted order (Algorithm 3's SortBySize, per shard), each examining
-// its lower-index same-shard neighbors. Cross-shard pairs are left to the
-// boundary-merge pass.
-func (st *pipeline) clusterShard(part *grid.Partition, s int, connect connectFunc, ws *workerScratch) {
-	if st.p.Graph == GraphDelaunay {
-		// Triangulate this shard's own core points; inter-cell edges <= eps
-		// union owned cells only (every triangulated point is owned).
-		var coreCells []int32
-		for _, g := range part.Owned[s] {
-			if len(st.corePts[g]) > 0 {
-				coreCells = append(coreCells, g)
-			}
-		}
-		st.delaunayUnion(coreCells)
-		return
-	}
-	order := ws.cellOrder[:0]
-	for _, g := range part.Owned[s] {
-		if len(st.corePts[g]) > 0 {
-			order = append(order, g)
-		}
-	}
-	ws.cellOrder = order // keep grown capacity
-	slices.SortFunc(order, func(a, b int32) int {
-		if st.coreSizeLess(a, b) {
-			return -1
-		}
-		if st.coreSizeLess(b, a) {
-			return 1
-		}
-		return 0
-	})
-	for _, g := range order {
-		if st.cancelled() {
-			return
-		}
-		for _, h := range st.cells.Neighbors[g] {
-			if h >= g || part.ShardOf[h] != int32(s) {
-				continue
-			}
-			st.processPair(g, h, connect, ws)
-		}
-	}
+	return Run(cells, p)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,7 +8,7 @@ import (
 	"pdbscan/internal/grid"
 )
 
-// shardedTestCells builds grid cells with neighbors for random clustered 2D/3D
+// shardedTestCells builds grid cells with neighbors for random clustered
 // points.
 func shardedTestCells(t *testing.T, n, d int, seed int64, eps float64) *grid.Cells {
 	t.Helper()
@@ -25,90 +24,6 @@ func shardedTestCells(t *testing.T, n, d int, seed int64, eps float64) *grid.Cel
 	c := grid.BuildGrid(nil, pts, eps)
 	c.ComputeNeighborsEnum(nil)
 	return c
-}
-
-// TestRunShardedMatchesRun pins, at the core layer, the tentpole invariant:
-// for every graph strategy, RunSharded over any partition returns exactly
-// Run's result — identical labels, not merely an equivalent partition.
-func TestRunShardedMatchesRun(t *testing.T) {
-	for _, d := range []int{2, 3} {
-		cells := shardedTestCells(t, 1500, d, int64(d)*7, 1.2)
-		strategies := []struct {
-			name  string
-			mark  MarkStrategy
-			graph GraphStrategy
-			rho   float64
-		}{
-			{"scan-bcp", MarkScan, GraphBCP, 0},
-			{"qt-qt", MarkQuadtree, GraphQuadtree, 0},
-			{"scan-approx", MarkScan, GraphApprox, 0.05},
-			{"qt-approx", MarkQuadtree, GraphApprox, 0.3},
-		}
-		if d == 2 {
-			strategies = append(strategies,
-				struct {
-					name  string
-					mark  MarkStrategy
-					graph GraphStrategy
-					rho   float64
-				}{"scan-usec", MarkScan, GraphUSEC, 0},
-				struct {
-					name  string
-					mark  MarkStrategy
-					graph GraphStrategy
-					rho   float64
-				}{"scan-delaunay", MarkScan, GraphDelaunay, 0},
-			)
-		}
-		for _, s := range strategies {
-			p := Params{MinPts: 5, Mark: s.mark, Graph: s.graph, Rho: s.rho}
-			want, err := Run(cells, p)
-			if err != nil {
-				t.Fatalf("d=%d %s: Run: %v", d, s.name, err)
-			}
-			for _, k := range []int{2, 3, 9} {
-				part, err := grid.MakePartition(nil, cells, k)
-				if err != nil {
-					t.Fatalf("d=%d %s k=%d: %v", d, s.name, k, err)
-				}
-				got, err := RunSharded(cells, p, part)
-				if err != nil {
-					t.Fatalf("d=%d %s k=%d: RunSharded: %v", d, s.name, k, err)
-				}
-				if err := sameResult(got, want); err != nil {
-					t.Fatalf("d=%d %s k=%d: %v", d, s.name, k, err)
-				}
-			}
-		}
-	}
-}
-
-// sameResult demands bit-identical results (labels, cores, borders).
-func sameResult(got, want *Result) error {
-	if got.NumClusters != want.NumClusters {
-		return fmt.Errorf("NumClusters %d vs %d", got.NumClusters, want.NumClusters)
-	}
-	for i := range want.Labels {
-		if got.Labels[i] != want.Labels[i] || got.Core[i] != want.Core[i] {
-			return fmt.Errorf("point %d: label %d/%d core %v/%v",
-				i, got.Labels[i], want.Labels[i], got.Core[i], want.Core[i])
-		}
-	}
-	if len(got.Border) != len(want.Border) {
-		return fmt.Errorf("border size %d vs %d", len(got.Border), len(want.Border))
-	}
-	for p, m := range want.Border {
-		gm := got.Border[p]
-		if len(gm) != len(m) {
-			return fmt.Errorf("border of %d: %v vs %v", p, gm, m)
-		}
-		for i := range m {
-			if gm[i] != m[i] {
-				return fmt.Errorf("border of %d: %v vs %v", p, gm, m)
-			}
-		}
-	}
-	return nil
 }
 
 // TestRunShardedValidation: bad params and mismatched partitions are

@@ -64,8 +64,8 @@ type Cells struct {
 	// holds Pts row Order[r], so cell g owns the contiguous payload row range
 	// [CellStart[g], CellStart[g+1]) — the same layout internal/cellstore
 	// writes to disk. The batch constructions (BuildGrid, BuildBox2D) fill it
-	// eagerly; Dynamic.Snapshot leaves it nil and callers that want the
-	// contiguous kernels call EnsurePayload. Nil means "not materialized":
+	// eagerly; Dynamic.Snapshot leaves it nil (the incremental pipeline runs
+	// the indirect layout). Nil means "not materialized":
 	// the clustering pipeline falls back to indirecting through Order.
 	Payload []float64
 
@@ -103,9 +103,8 @@ func (c *Cells) PayloadPts() geom.Points {
 
 // EnsurePayload materializes the cell-major payload (and the Rows identity)
 // if it is not already present. Idempotent; not safe to call concurrently
-// with itself on the same Cells — the construction paths and the streaming
-// run loop call it from a single goroutine before handing the structure to
-// parallel phases.
+// with itself on the same Cells — the construction paths call it from a
+// single goroutine before handing the structure to parallel phases.
 func (c *Cells) EnsurePayload(ex *parallel.Pool) {
 	if c.Payload != nil {
 		return

@@ -13,16 +13,13 @@ import (
 // lattice. Because grid cells are anchored to the absolute side-grid lattice
 // (Cells.Anchor, CellCoord), a shard is a half-open interval of absolute
 // lattice coordinates on the split axis: every build of the same point set
-// produces the same shards, which is what makes the sharded clustering path
-// reproducible.
+// produces the same shards, which is what makes an out-of-core cell store's
+// layout reproducible.
 //
 // Each shard also knows its halo — the cells owned by other shards that lie
 // within eps of one of its owned cells (exactly the cross-shard entries of
 // the owned cells' Neighbors lists, so the halo is eps-wide by the same
-// cube-distance test every other phase uses). Owned cells that have at least
-// one halo neighbor are the shard's boundary: only their cell-graph edges can
-// cross the shard cut, so the merge pass after independent per-shard
-// clustering touches boundary cells alone.
+// cube-distance test every other phase uses).
 type Partition struct {
 	// NumShards is the number of shards actually produced. It never exceeds
 	// the number of distinct occupied lattice coordinates on the split axis
@@ -41,10 +38,6 @@ type Partition struct {
 	// Halo[s] lists the cells within eps of shard s's owned cells but owned
 	// by other shards, ascending.
 	Halo [][]int32
-	// Boundary[s] lists the owned cells of shard s with at least one
-	// cross-shard neighbor, ascending. Only these cells can carry cell-graph
-	// edges into the halo.
-	Boundary [][]int32
 }
 
 // MakePartition partitions the cells of a grid construction into at most
@@ -70,7 +63,6 @@ func MakePartition(ex *parallel.Pool, c *Cells, shards int) (*Partition, error) 
 	if numCells == 0 {
 		p.Owned = [][]int32{nil}
 		p.Halo = [][]int32{nil}
-		p.Boundary = [][]int32{nil}
 		return p, nil
 	}
 
@@ -121,7 +113,6 @@ func MakePartition(ex *parallel.Pool, c *Cells, shards int) (*Partition, error) 
 	p.NumShards = shards
 	p.Owned = make([][]int32, shards)
 	p.Halo = make([][]int32, shards)
-	p.Boundary = make([][]int32, shards)
 
 	// Greedy balanced cuts: close shard s once its cumulative point count
 	// reaches s+1 shares of the total, advancing only at slab boundaries. A
@@ -144,27 +135,21 @@ func MakePartition(ex *parallel.Pool, c *Cells, shards int) (*Partition, error) 
 	// Owned lists ascending by cell index (they were appended in axis order).
 	ex.ForGrain(shards, 1, func(s int) { slices.Sort(p.Owned[s]) })
 
-	// Halo and boundary, per shard: scan owned cells' neighbor lists for
-	// cross-shard entries. Dedup by sort+compact over the collected
-	// candidates — their count is bounded by the boundary cells' neighbor
-	// lists, so no per-shard O(numCells) scratch is needed.
+	// Halo, per shard: scan owned cells' neighbor lists for cross-shard
+	// entries. Dedup by sort+compact over the collected candidates — their
+	// count is bounded by the cut-adjacent cells' neighbor lists, so no
+	// per-shard O(numCells) scratch is needed.
 	ex.ForGrain(shards, 1, func(s int) {
-		var halo, boundary []int32
+		var halo []int32
 		for _, g := range p.Owned[s] {
-			cross := false
 			for _, h := range c.Neighbors[g] {
 				if p.ShardOf[h] != int32(s) {
-					cross = true
 					halo = append(halo, h)
 				}
-			}
-			if cross {
-				boundary = append(boundary, g)
 			}
 		}
 		slices.Sort(halo)
 		p.Halo[s] = slices.Compact(halo)
-		p.Boundary[s] = boundary
 	})
 	return p, nil
 }

@@ -28,9 +28,7 @@ func partitionTestCells(t *testing.T, n, d int, seed int64, eps float64) *Cells 
 
 // TestPartitionInvariants checks the structural contract of MakePartition:
 // exhaustive disjoint ownership, contiguous coordinate intervals per shard,
-// halos that are exactly the cross-shard neighbors of owned cells, and
-// boundary lists that are exactly the owned cells with a cross-shard
-// neighbor.
+// and halos that are exactly the cross-shard neighbors of owned cells.
 func TestPartitionInvariants(t *testing.T) {
 	for _, d := range []int{2, 3, 5} {
 		c := partitionTestCells(t, 900, d, int64(d), 1.5)
@@ -84,15 +82,13 @@ func TestPartitionInvariants(t *testing.T) {
 				}
 				lastHi = hi
 			}
-			// Halo and boundary: recompute from first principles.
+			// Halo: recompute from first principles.
 			for s := 0; s < p.NumShards; s++ {
 				wantHalo := map[int32]bool{}
-				wantBoundary := map[int32]bool{}
 				for _, g := range p.Owned[s] {
 					for _, h := range c.Neighbors[g] {
 						if p.ShardOf[h] != int32(s) {
 							wantHalo[h] = true
-							wantBoundary[g] = true
 						}
 					}
 				}
@@ -102,14 +98,6 @@ func TestPartitionInvariants(t *testing.T) {
 				for _, h := range p.Halo[s] {
 					if !wantHalo[h] {
 						t.Fatalf("d=%d k=%d shard %d: %d in halo but not a cross-shard neighbor", d, k, s, h)
-					}
-				}
-				if len(p.Boundary[s]) != len(wantBoundary) {
-					t.Fatalf("d=%d k=%d shard %d: boundary %v, want set of %d", d, k, s, p.Boundary[s], len(wantBoundary))
-				}
-				for _, g := range p.Boundary[s] {
-					if !wantBoundary[g] {
-						t.Fatalf("d=%d k=%d shard %d: %d in boundary without cross-shard neighbor", d, k, s, g)
 					}
 				}
 			}

@@ -181,11 +181,12 @@ var oracleLayouts = []oracleLayout{
 	},
 	{
 		// Exact-eps chain along the first axis: consecutive points at
-		// distance exactly eps form one long cluster. The sharded path cuts
-		// the lattice along this axis (it has the most occupied slabs), so every
-		// shard cut splits an exact-eps pair — the boundary-merge pass must
-		// treat d == eps as connected or the chain shatters at the cuts.
-		// Integer coordinates keep the distances exact in float64.
+		// distance exactly eps form one long cluster whose every link
+		// crosses cells — the cell graph must treat d == eps as connected or
+		// the chain shatters. Any spatial cut of the lattice (an out-of-core
+		// store's shards cut along this axis, the one with the most occupied
+		// slabs) splits an exact-eps pair. Integer coordinates keep the
+		// distances exact in float64.
 		name: "shard-chain", eps: 2.0, minPts: []int{2, 3},
 		gen: func(d int) [][]float64 {
 			var rows [][]float64
@@ -198,12 +199,10 @@ var oracleLayouts = []oracleLayout{
 		},
 	},
 	{
-		// Dense blobs strung along the split axis with single-point bridges
-		// between them: clusters wide enough to straddle any shard halo, so
-		// intra-shard clustering alone cannot close them — connectivity must
-		// flow through cross-boundary edges between blob fringes and bridge
-		// points, and border points near the cuts must resolve against core
-		// cells owned by other shards.
+		// Dense blobs strung along the first axis with single-point bridges
+		// between them: connectivity must flow through cell-graph edges
+		// between blob fringes and bridge points, and border points near the
+		// bridges must resolve against core cells several cells away.
 		name: "halo-blobs", eps: 1.5, minPts: []int{4, 6},
 		gen: func(d int) [][]float64 {
 			rng := rand.New(rand.NewSource(23))
@@ -232,9 +231,9 @@ var oracleLayouts = []oracleLayout{
 	},
 }
 
-// oracleCheck runs one method over one layout, compares against the
-// brute-force reference, and returns the result for cross-path comparisons.
-func oracleCheck(t *testing.T, rows [][]float64, cfg Config, ctx string) *Result {
+// oracleCheck runs one method over one layout and compares the result
+// against the brute-force reference.
+func oracleCheck(t *testing.T, rows [][]float64, cfg Config, ctx string) {
 	t.Helper()
 	res, err := Cluster(rows, cfg)
 	if err != nil {
@@ -253,26 +252,18 @@ func oracleCheck(t *testing.T, rows [][]float64, cfg Config, ctx string) *Result
 			res.Core, res.Labels, res.Border); err != nil {
 			t.Fatalf("%s: approx validity: %v", ctx, err)
 		}
-		return res
+		return
 	}
 	ref := metrics.BruteDBSCAN(pts, cfg.Eps, cfg.MinPts)
 	if err := metrics.SameDBSCANResult(ref, res.Core, res.Labels, res.Border, res.NumClusters); err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
-	return res
 }
 
-// oracleShards is the shard-count axis of the conformance matrix: the
-// monolithic path, a single cut, and a count that fragments the small
-// layouts down to slab granularity.
-var oracleShards = [3]int{1, 2, 7}
-
 // TestOracleConformance is the full matrix: every method × {2, 3, 5}
-// dimensions × every adversarial layout × the layout's MinPts values ×
-// Shards ∈ {1, 2, 7}. Each sharded run is held to the oracle directly and
-// to label-permutation equality against the monolithic run of the same
-// configuration (the check that pins the approximate methods, where the
-// oracle alone admits a band of valid answers).
+// dimensions × every adversarial layout × the layout's MinPts values, each
+// run held to the oracle (exact methods) or to Gan–Tao validity against it
+// (approximate methods).
 func TestOracleConformance(t *testing.T) {
 	for _, d := range []int{2, 3, 5} {
 		d := d
@@ -282,17 +273,8 @@ func TestOracleConformance(t *testing.T) {
 				rows := layout.gen(d)
 				for _, m := range streamMethodsFor(d) {
 					for _, minPts := range layout.minPts {
-						cfg := Config{Eps: layout.eps, MinPts: minPts, Method: m, Shards: 1}
-						ctx := fmt.Sprintf("%s d=%d %s minPts=%d", layout.name, d, m, minPts)
-						mono := oracleCheck(t, rows, cfg, ctx)
-						for _, shards := range oracleShards[1:] {
-							cfgS := cfg
-							cfgS.Shards = shards
-							res := oracleCheck(t, rows, cfgS, fmt.Sprintf("%s shards=%d", ctx, shards))
-							if err := equivalentResults(res, mono); err != nil {
-								t.Fatalf("%s shards=%d vs monolithic: %v", ctx, shards, err)
-							}
-						}
+						cfg := Config{Eps: layout.eps, MinPts: minPts, Method: m}
+						oracleCheck(t, rows, cfg, fmt.Sprintf("%s d=%d %s minPts=%d", layout.name, d, m, minPts))
 					}
 				}
 			}
@@ -465,4 +447,75 @@ func streamOracleCheck(t *testing.T, s *StreamingClusterer, cfg Config, ctx stri
 	if err := metrics.SameDBSCANResult(ref, res.Core, res.Labels, res.Border, res.NumClusters); err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
+}
+
+// equivalentResults checks that two results are the same clustering up to a
+// bijective relabeling of clusters: identical core flags and noise, a
+// consistent label bijection over every point, and border membership sets
+// that match under that bijection. labelsEqual is the strict (identity
+// relabeling) form; this is the invariance that holds between paths that run
+// on different cell layouts or number clusters differently (store-backed
+// 2d-box-* runs, hierarchy cuts).
+func equivalentResults(a, b *Result) error {
+	if len(a.Labels) != len(b.Labels) {
+		return fmt.Errorf("length %d vs %d", len(a.Labels), len(b.Labels))
+	}
+	if a.NumClusters != b.NumClusters {
+		return fmt.Errorf("NumClusters %d vs %d", a.NumClusters, b.NumClusters)
+	}
+	// The bijection is built from core points only: a core point belongs to
+	// exactly one cluster, and every cluster has core points, so the core
+	// rows determine the full correspondence. Border primary labels cannot
+	// seed it — a multi-membership border point takes the smallest label in
+	// each result's own numbering, which may name different clusters on the
+	// two sides.
+	ab := make([]int32, a.NumClusters) // a-label -> b-label
+	ba := make([]int32, b.NumClusters)
+	for i := range ab {
+		ab[i] = -1
+	}
+	for i := range ba {
+		ba[i] = -1
+	}
+	for i := range a.Labels {
+		if a.Core[i] != b.Core[i] {
+			return fmt.Errorf("core flag of point %d: %v vs %v", i, a.Core[i], b.Core[i])
+		}
+		if !a.Core[i] {
+			continue
+		}
+		la, lb := a.Labels[i], b.Labels[i]
+		if ab[la] == -1 && ba[lb] == -1 {
+			ab[la], ba[lb] = lb, la
+		} else if ab[la] != lb || ba[lb] != la {
+			return fmt.Errorf("core point %d breaks the label bijection: %d vs %d (mapped %d, %d)", i, la, lb, ab[la], ba[lb])
+		}
+	}
+	// Every point's full membership set must match under the bijection
+	// (border points may belong to several clusters; noise to none).
+	memberships := func(r *Result, i int) []int32 {
+		if m, ok := r.Border[int32(i)]; ok {
+			return m
+		}
+		if r.Labels[i] < 0 {
+			return nil
+		}
+		return []int32{r.Labels[i]}
+	}
+	for i := range a.Labels {
+		ma, mb := memberships(a, i), memberships(b, i)
+		if len(ma) != len(mb) {
+			return fmt.Errorf("point %d: memberships %v vs %v", i, ma, mb)
+		}
+		set := make(map[int32]bool, len(ma))
+		for _, l := range ma {
+			set[ab[l]] = true
+		}
+		for _, l := range mb {
+			if !set[l] {
+				return fmt.Errorf("point %d: memberships %v map to %v, missing %d", i, ma, set, l)
+			}
+		}
+	}
+	return nil
 }

@@ -1,10 +1,8 @@
 package pdbscan
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -103,170 +101,6 @@ func TestPropertyApproxIsValid(t *testing.T) {
 	}
 	if err := quick.Check(cfgCheck, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPropertyShardedDifferential is the cross-path differential property
-// test: for random point sets, methods, and shard counts, the three
-// execution paths — sharded, monolithic, and streaming (which builds its
-// cell structure incrementally through a different code path entirely) —
-// must produce the same clustering. Exact methods must agree with the
-// brute-force oracle on top; approximate methods are pinned by the
-// cross-path equality itself plus Gan–Tao validity.
-func TestPropertyShardedDifferential(t *testing.T) {
-	type input struct {
-		Seed    int64
-		EpsQ    uint8
-		MinPts  uint8
-		Dims    uint8
-		ShardsQ uint8
-		MethodQ uint8
-	}
-	check := func(in input) bool {
-		rng := rand.New(rand.NewSource(in.Seed))
-		d := 2 + int(in.Dims)%3 // 2..4
-		n := 30 + rng.Intn(150)
-		rows := make([][]float64, n)
-		for i := range rows {
-			row := make([]float64, d)
-			for j := range row {
-				if rng.Float64() < 0.5 {
-					row[j] = math.Floor(rng.Float64()*4) * 8
-				} else {
-					row[j] = rng.Float64() * 32
-				}
-				row[j] += rng.NormFloat64()
-			}
-			rows[i] = row
-		}
-		eps := []float64{0.8, 1.5, 3, 7}[int(in.EpsQ)%4]
-		minPts := 1 + int(in.MinPts)%7
-		methods := streamMethodsFor(d)
-		m := methods[int(in.MethodQ)%len(methods)]
-		shards := []int{2, 3, 5, 11}[int(in.ShardsQ)%4]
-		cfg := Config{Eps: eps, MinPts: minPts, Method: m}
-
-		mono, err := Cluster(rows, cfg)
-		if err != nil {
-			t.Logf("%s monolithic: %v", m, err)
-			return false
-		}
-		shCfg := cfg
-		shCfg.Shards = shards
-		sh, err := Cluster(rows, shCfg)
-		if err != nil {
-			t.Logf("%s shards=%d: %v", m, shards, err)
-			return false
-		}
-		if err := equivalentResults(sh, mono); err != nil {
-			t.Logf("%s d=%d n=%d eps=%v minPts=%d shards=%d: sharded vs monolithic: %v",
-				m, d, n, eps, minPts, shards, err)
-			return false
-		}
-		// Streaming third path: half the points, then the rest, then run —
-		// its sharded tick must also agree.
-		s, err := NewStreamingClusterer(d, eps)
-		if err != nil {
-			t.Logf("streaming: %v", err)
-			return false
-		}
-		if _, err := s.Insert(rows[:n/2]); err != nil {
-			t.Logf("streaming insert: %v", err)
-			return false
-		}
-		if _, err := s.Run(Config{MinPts: minPts, Method: m}); err != nil {
-			t.Logf("streaming warm-up run: %v", err)
-			return false
-		}
-		if _, err := s.Insert(rows[n/2:]); err != nil {
-			t.Logf("streaming insert: %v", err)
-			return false
-		}
-		stream, err := s.Run(Config{MinPts: minPts, Method: m, Shards: shards})
-		if err != nil {
-			t.Logf("streaming sharded run: %v", err)
-			return false
-		}
-		// StreamResult rows are in insertion order == rows order here.
-		if err := equivalentResults(&stream.Result, mono); err != nil {
-			t.Logf("%s d=%d n=%d eps=%v minPts=%d shards=%d: streaming-sharded vs monolithic: %v",
-				m, d, n, eps, minPts, shards, err)
-			return false
-		}
-		// Exact methods additionally face the oracle.
-		if m != MethodApprox && m != MethodApproxQt {
-			pts, _ := geom.FromRows(rows)
-			ref := metrics.BruteDBSCAN(pts, eps, minPts)
-			if err := metrics.SameDBSCANResult(ref, sh.Core, sh.Labels, sh.Border, sh.NumClusters); err != nil {
-				t.Logf("%s d=%d n=%d eps=%v minPts=%d shards=%d: oracle: %v",
-					m, d, n, eps, minPts, shards, err)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestShardedConcurrentRuns exercises concurrent sharded Run calls on one
-// shared Clusterer — mixed shard counts, workers, and methods, overlapping
-// with monolithic runs — under the race detector. Each call must still
-// produce exactly its reference result: the sharded phases share the
-// Clusterer's cell structure read-only and keep all mutable state per run.
-func TestShardedConcurrentRuns(t *testing.T) {
-	rows := blobs(900, 2, 29)
-	eps := 2.5
-	c, err := NewClusterer(rows, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type job struct {
-		minPts  int
-		method  Method
-		shards  int
-		workers int
-	}
-	jobs := []job{
-		{5, MethodExact, 1, 2},
-		{5, MethodExact, 4, 1},
-		{5, MethodExactQt, 3, 3},
-		{8, Method2DGridUSEC, 2, 2},
-		{8, Method2DGridDelaunay, 5, 1},
-		{8, MethodApprox, 4, 2},
-		{12, Method2DBoxBCP, 6, 0},
-	}
-	want := make([]*Result, len(jobs))
-	for i, j := range jobs {
-		w, err := Cluster(rows, Config{Eps: eps, MinPts: j.minPts, Method: j.method, Shards: j.shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = w
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 3*len(jobs))
-	for rep := 0; rep < 3; rep++ {
-		for i, j := range jobs {
-			wg.Add(1)
-			go func(i int, j job) {
-				defer wg.Done()
-				got, err := c.Run(Config{MinPts: j.minPts, Method: j.method, Shards: j.shards, Workers: j.workers})
-				if err != nil {
-					errs <- fmt.Errorf("job %d: %v", i, err)
-					return
-				}
-				if err := labelsEqual(got, want[i]); err != nil {
-					errs <- fmt.Errorf("job %d (%s shards=%d): %v", i, j.method, j.shards, err)
-				}
-			}(i, j)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
 	}
 }
 

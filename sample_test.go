@@ -283,7 +283,7 @@ func TestSampledConcurrentMixedWorkers(t *testing.T) {
 		{cfg: Config{MinPts: 5, Sampler: SamplerUniform, SampleFrac: 0.3, SampleSeed: 1}},
 		{cfg: Config{MinPts: 5, Sampler: SamplerUniform, SampleFrac: 0.1, SampleSeed: 2}},
 		{cfg: Config{MinPts: 8, Sampler: SamplerKCenter, SampleFrac: 0.2, SampleSeed: 3}},
-		{cfg: Config{MinPts: 5, Shards: 3}},
+		{cfg: Config{MinPts: 5, Bucketing: true}},
 	}
 	for i := range jobs {
 		ref, err := c.Run(jobs[i].cfg)

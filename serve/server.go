@@ -271,7 +271,6 @@ type ConfigJSON struct {
 	Bucketing bool    `json:"bucketing,omitempty"`
 	Buckets   int     `json:"buckets,omitempty"`
 	Workers   int     `json:"workers,omitempty"`
-	Shards    int     `json:"shards,omitempty"`
 
 	// Sampled-core approximate mode (DBSCAN++): see pdbscan.Config.Sampler.
 	// Batch sessions only; streaming and hierarchy runs reject samplers.
@@ -284,7 +283,7 @@ func (c ConfigJSON) toConfig() pdbscan.Config {
 	return pdbscan.Config{
 		Eps: c.Eps, MinPts: c.MinPts, Method: pdbscan.Method(c.Method),
 		Rho: c.Rho, Bucketing: c.Bucketing, Buckets: c.Buckets,
-		Workers: c.Workers, Shards: c.Shards,
+		Workers: c.Workers,
 		Sampler: pdbscan.Sampler(c.Sampler), SampleFrac: c.SampleFrac,
 		SampleSeed: c.SampleSeed,
 	}

@@ -279,6 +279,22 @@ func TestHierarchySessionCuts(t *testing.T) {
 		SubmitRunRequest{Config: ConfigJSON{Eps: 99}, Wait: true}, http.StatusBadRequest, nil)
 }
 
+// TestRunRejectsShardsField: in-memory runs are never sharded, so a run
+// config carrying "shards" is an unknown field, rejected with a 400 whose
+// error names it — never silently ignored.
+func TestRunRejectsShardsField(t *testing.T) {
+	_, tc, done := newTestServer(t, Options{})
+	defer done()
+	sess := tc.createSession(CreateSessionRequest{Kind: "batch", Eps: 3, Points: genPoints(200, 8)})
+	var er errorResponse
+	tc.expect("POST", "/v1/sessions/"+sess.ID+"/runs",
+		map[string]any{"config": map[string]any{"min_pts": 5, "shards": 2}, "wait": true},
+		http.StatusBadRequest, &er)
+	if !strings.Contains(er.Error, `unknown field "shards"`) {
+		t.Fatalf("error %q does not name the unknown field \"shards\"", er.Error)
+	}
+}
+
 // TestStatusCodeMapping drives every failure mode to its documented HTTP
 // status: 400 validation, 404 unknown ids, 429 + Retry-After on a full
 // queue, 504 on queue timeout and request deadline, 503 + Retry-After when
@@ -310,7 +326,6 @@ func TestStatusCodeMapping(t *testing.T) {
 		{"unknown config field", "POST", "/v1/sessions/" + small.ID + "/runs", map[string]any{"config": map[string]any{"minPoints": 5}}},
 		{"zero minpts", "POST", "/v1/sessions/" + small.ID + "/runs", SubmitRunRequest{Config: ConfigJSON{MinPts: 0}, Wait: true}},
 		{"unknown method", "POST", "/v1/sessions/" + small.ID + "/runs", SubmitRunRequest{Config: ConfigJSON{MinPts: 5, Method: "magic"}, Wait: true}},
-		{"negative shards", "POST", "/v1/sessions/" + small.ID + "/runs", SubmitRunRequest{Config: ConfigJSON{MinPts: 5, Shards: -1}, Wait: true}},
 		{"eps mismatch", "POST", "/v1/sessions/" + small.ID + "/runs", SubmitRunRequest{Config: ConfigJSON{Eps: 7, MinPts: 5}, Wait: true}},
 	} {
 		if resp := tc.do(bad.method, bad.path, bad.body, nil); resp.StatusCode != http.StatusBadRequest {

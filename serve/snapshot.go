@@ -2,12 +2,14 @@ package serve
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 
 	"pdbscan"
+	"pdbscan/internal/atomicfile"
 )
 
 // SetSnapshotDir points the server at a directory for streaming-session
@@ -23,8 +25,9 @@ func (s *Server) SetSnapshotDir(dir string) {
 }
 
 // SaveSnapshots writes every streaming session's warm state to the snapshot
-// directory, one checksummed <id>.snap file each (temp file + rename, so a
-// crash mid-save never leaves a partial snapshot under the final name).
+// directory, one checksummed <id>.snap file each (temp file, fsync, rename,
+// directory fsync, so a crash mid-save never leaves a partial or empty
+// snapshot under the final name).
 // Batch and hierarchy sessions are skipped — their state is their immutable
 // input, which the client can re-POST. Call it after Drain + Shutdown, when
 // no mutations are in flight; it returns the number of sessions saved and
@@ -60,21 +63,12 @@ func (s *Server) SaveSnapshots() (int, error) {
 }
 
 func saveOne(dir string, sess *session) error {
-	final := filepath.Join(dir, sess.id+".snap")
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp) // no-op once renamed
-	if err := sess.streaming.Snapshot(f); err != nil {
-		f.Close()
-		return fmt.Errorf("session %s: %w", sess.id, err)
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, final)
+	return atomicfile.Write(filepath.Join(dir, sess.id+".snap"), func(w io.Writer) error {
+		if err := sess.streaming.Snapshot(w); err != nil {
+			return fmt.Errorf("session %s: %w", sess.id, err)
+		}
+		return nil
+	})
 }
 
 // RestoreSnapshots loads every *.snap file in the snapshot directory as a

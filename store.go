@@ -6,8 +6,15 @@ import (
 	"pdbscan/internal/cellstore"
 	"pdbscan/internal/core"
 	"pdbscan/internal/geom"
+	"pdbscan/internal/grid"
 	"pdbscan/internal/parallel"
 )
+
+// autoShardPoints is the point count one WriteStore shard targets when the
+// caller leaves the layout to the default: small enough that multi-million-
+// point stores decompose into windows far below the dataset size, large
+// enough that per-shard bookkeeping never dominates.
+const autoShardPoints = 1 << 16
 
 // WriteStore persists this Clusterer's grid cell structure and points to path
 // as an mmap-able cell store (internal/cellstore format), laid out
@@ -34,7 +41,7 @@ func (c *Clusterer) WriteStore(path string, shards int) error {
 			shards = 1
 		}
 	}
-	part, err := c.partitionFor(cells, shards, ex)
+	part, err := grid.MakePartition(ex, cells, shards)
 	if err != nil {
 		return err
 	}

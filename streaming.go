@@ -40,12 +40,6 @@ import (
 // the grid cell layout (identical clustering — all exact methods agree), and
 // Config.Bucketing is ignored (it schedules a pruned batch traversal the
 // incremental edge evaluation replaces).
-//
-// Config.Shards > 1 routes a Run through the sharded partition/merge path
-// instead of the incremental one: the full window is re-clustered (same
-// results, as everywhere) and the incremental caches are dropped, so the
-// next incremental Run starts from scratch. Shards = 0 (auto) always stays
-// incremental — per-tick reuse is this type's reason to exist.
 type StreamingClusterer struct {
 	mu    sync.Mutex
 	dims  int
@@ -72,9 +66,8 @@ type StreamStats struct {
 	// incident cell-graph edges were recomputed. 0 for a mutation-free,
 	// config-stable rerun; equal to NumCells on a Full run.
 	DirtyCells int
-	// Full marks a run that reused nothing: the first, one right after a
-	// sharded or failed run dropped the caches, or any run through the
-	// sharded path itself.
+	// Full marks a run that reused nothing: the first, or one right after a
+	// failed run dropped the caches.
 	Full bool
 }
 
@@ -344,61 +337,21 @@ func (s *StreamingClusterer) RunContext(ctx context.Context, cfg Config) (res *S
 	if err != nil {
 		return nil, err
 	}
-	var cres *core.Result
-	// A fresh cache (first run, or one dropped by a sharded or failed run)
-	// makes the run full no matter what the snapshot's dirty info says.
+	// A fresh cache (first run, or one dropped by a failed run) makes the
+	// run full no matter what the snapshot's dirty info says.
 	dirtyCells, full := dirty.NumAffected, dirty.Full || s.inc.Fresh()
-	if full {
-		dirtyCells = -1 // patched to the live cell count below
-	}
-	if cfg.Shards > 1 {
-		// An explicitly sharded run recomputes everything through the
-		// partition/merge path and bypasses the incremental caches. The
-		// snapshot's dirty info is consumed here without reaching them, so
-		// they are dropped either way — the next incremental Run rebuilds
-		// from clean state. (Shards = 0 deliberately stays incremental; see
-		// Config.Shards.)
+	// Run the incremental pipeline even when the stream is empty: every
+	// snapshot's DirtyInfo must reach the caches exactly once, and an empty
+	// tick is how dying cells' cached core lists get retired (skipping it
+	// would leak them into the next non-empty tick as phantom clusters —
+	// pinned by the FuzzStreamingOps corpus).
+	cres, err := core.RunIncremental(cells, params, s.inc, dirty)
+	if err != nil {
+		// The snapshot's dirty info is spent but the caches never absorbed
+		// it; drop them so the next Run recomputes from clean state instead
+		// of silently reusing stale entries.
 		s.inc = core.NewIncremental()
-		// The batch pipelines run cell-major; materialize the snapshot's
-		// payload (the incremental path below never needs it — its caches are
-		// original-index and it forces the indirect layout). Like the
-		// snapshot, the copy is cached inside the snapshot and must complete
-		// once started, so it runs on a context-free pool.
-		cells.EnsurePayload(parallel.NewPool(cfg.Workers))
-		part, perr := grid.MakePartition(ex, cells, cfg.Shards)
-		if perr != nil {
-			return nil, perr
-		}
-		// A partition cut on a cancelled pool may be arbitrary; bail before
-		// handing it to the pipeline.
-		if cerr := ex.Err(); cerr != nil {
-			return nil, cerr
-		}
-		if part.NumShards <= 1 {
-			// Uncuttable lattice: the monolithic phases parallelize better
-			// than a one-shard run would (same fallback as Clusterer.Run).
-			cres, err = core.Run(cells, params)
-		} else {
-			cres, err = core.RunSharded(cells, params, part)
-		}
-		if err != nil {
-			return nil, err
-		}
-		dirtyCells, full = -1, true // -1: patched to the live cell count below
-	} else {
-		// Run the incremental pipeline even when the stream is empty: every
-		// snapshot's DirtyInfo must reach the caches exactly once, and an
-		// empty tick is how dying cells' cached core lists get retired
-		// (skipping it would leak them into the next non-empty tick as
-		// phantom clusters — pinned by the FuzzStreamingOps corpus).
-		cres, err = core.RunIncremental(cells, params, s.inc, dirty)
-		if err != nil {
-			// The snapshot's dirty info is spent but the caches never
-			// absorbed it; drop them so the next Run recomputes from clean
-			// state instead of silently reusing stale entries.
-			s.inc = core.NewIncremental()
-			return nil, err
-		}
+		return nil, err
 	}
 	numCells := 0
 	for g := 0; g < cells.NumCells(); g++ {
@@ -406,8 +359,8 @@ func (s *StreamingClusterer) RunContext(ctx context.Context, cfg Config) (res *S
 			numCells++
 		}
 	}
-	if dirtyCells < 0 {
-		dirtyCells = numCells // sharded runs recompute every live cell
+	if full {
+		dirtyCells = numCells
 	}
 	s.lastStats = StreamStats{
 		NumPoints:  len(s.ids),
