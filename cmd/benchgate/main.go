@@ -11,9 +11,7 @@
 //
 // A metric regresses when it drops more than 10% below the committed
 // baseline, or below the absolute floor the optimization was accepted at
-// (1.3x clustering-phase speedup, 5x allocation reduction, 1.25x
-// indirect-vs-contiguous layout speedup — the last skipped on reports that
-// predate the cell-major payload). A baseline whose
+// (1.3x clustering-phase speedup, 5x allocation reduction). A baseline whose
 // recorded thread count differs from the fresh report's is refused (with a
 // ::notice): ratios measured at different worker counts are not comparable,
 // so only the absolute floors are checked. With -scale it gates the scaling
@@ -65,10 +63,6 @@ type hotHeadline struct {
 	Threads               int     `json:"threads"`
 	Headline2DGridSpeedup float64 `json:"headline_2d_grid_speedup"`
 	HeadlineAllocRatio    float64 `json:"headline_alloc_ratio"`
-	// HeadlineLayoutSpeedup is the indirect-vs-contiguous layout speedup;
-	// zero in reports generated before the cell-major payload existed, in
-	// which case its floor is skipped.
-	HeadlineLayoutSpeedup float64 `json:"headline_layout_speedup"`
 }
 
 // emstHeadline is the subset of the BENCH_emst.json schema the gate reads.
@@ -134,14 +128,8 @@ type serveHeadline struct {
 // absolute — it is a latency budget, not a host-relative ratio); and of the
 // EMST hierarchy (sweep amortization over independent runs, a ratio).
 const (
-	floorSpeedup    = 1.3
-	floorAllocRatio = 5.0
-	// floorLayoutSpeedup is the cell-major payload's acceptance floor: the
-	// headline configuration must cluster at least 1.25x faster over the
-	// contiguous layout than over the indirect one with kernels and arena
-	// held identical. Soft (a warning with the usual grace), since the
-	// layout win is the most cache-sensitive of the ratios.
-	floorLayoutSpeedup    = 1.25
+	floorSpeedup          = 1.3
+	floorAllocRatio       = 5.0
 	grace                 = 0.9 // >10% below a reference counts as a regression
 	floorCancelLatency    = 50 * time.Millisecond
 	floorEmstAmortization = 5.0
@@ -291,12 +279,8 @@ func main() {
 
 	if !g.regressed && !g.hardFail {
 		if fresh != nil {
-			layout := ""
-			if fresh.HeadlineLayoutSpeedup > 0 {
-				layout = fmt.Sprintf(", layout %.2fx >= %.2f", fresh.HeadlineLayoutSpeedup, floorLayoutSpeedup*grace)
-			}
-			fmt.Printf("benchgate: ok (speedup %.2fx >= %.2f, alloc ratio %.1fx >= %.1f%s)\n",
-				fresh.Headline2DGridSpeedup, floorSpeedup*grace, fresh.HeadlineAllocRatio, floorAllocRatio*grace, layout)
+			fmt.Printf("benchgate: ok (speedup %.2fx >= %.2f, alloc ratio %.1fx >= %.1f)\n",
+				fresh.Headline2DGridSpeedup, floorSpeedup*grace, fresh.HeadlineAllocRatio, floorAllocRatio*grace)
 		} else {
 			fmt.Println("benchgate: ok (hot report missing, floors skipped)")
 		}
@@ -311,11 +295,6 @@ func main() {
 func (g *gate) gateHot(fresh, base *hotHeadline) {
 	g.check("headline_2d_grid_speedup", fresh.Headline2DGridSpeedup, floorSpeedup, "acceptance floor")
 	g.check("headline_alloc_ratio", fresh.HeadlineAllocRatio, floorAllocRatio, "acceptance floor")
-	if fresh.HeadlineLayoutSpeedup > 0 {
-		g.check("headline_layout_speedup", fresh.HeadlineLayoutSpeedup, floorLayoutSpeedup, "acceptance floor")
-	} else {
-		fmt.Fprintln(g.out, "::notice ::benchgate: report predates the layout modes (headline_layout_speedup absent); layout floor skipped")
-	}
 	switch {
 	case base == nil:
 	case base.Threads != fresh.Threads:
@@ -328,9 +307,6 @@ func (g *gate) gateHot(fresh, base *hotHeadline) {
 	default:
 		g.check("headline_2d_grid_speedup", fresh.Headline2DGridSpeedup, base.Headline2DGridSpeedup, "committed baseline")
 		g.check("headline_alloc_ratio", fresh.HeadlineAllocRatio, base.HeadlineAllocRatio, "committed baseline")
-		if fresh.HeadlineLayoutSpeedup > 0 && base.HeadlineLayoutSpeedup > 0 {
-			g.check("headline_layout_speedup", fresh.HeadlineLayoutSpeedup, base.HeadlineLayoutSpeedup, "committed baseline")
-		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // Passing reports, one per gate; each table case regresses one field.
 func goodHot() *hotHeadline {
-	return &hotHeadline{Threads: 1, Headline2DGridSpeedup: 2.0, HeadlineAllocRatio: 100, HeadlineLayoutSpeedup: 1.5}
+	return &hotHeadline{Threads: 1, Headline2DGridSpeedup: 2.0, HeadlineAllocRatio: 100}
 }
 
 func goodScale() *scaleHeadline {
@@ -75,16 +75,6 @@ func TestGatesFire(t *testing.T) {
 			h.HeadlineAllocRatio = 4
 			g.gateHot(h, nil)
 		}, soft, "headline_alloc_ratio"},
-		{"hot layout floor", func(g *gate) {
-			h := goodHot()
-			h.HeadlineLayoutSpeedup = 1.05
-			g.gateHot(h, nil)
-		}, soft, "headline_layout_speedup"},
-		{"hot layout absent skips", func(g *gate) {
-			h := goodHot()
-			h.HeadlineLayoutSpeedup = 0
-			g.gateHot(h, nil)
-		}, pass, "layout floor skipped"},
 		{"hot below baseline", func(g *gate) {
 			h := goodHot()
 			h.Headline2DGridSpeedup = 1.6 // above the floor, 20% below the baseline

@@ -17,17 +17,13 @@ type hotRun struct {
 	D      int    `json:"d"`
 	N      int    `json:"n"`
 	// Mode is one of:
-	//   - "before": generic-D distance loops in the pipeline, no scratch
-	//     arena, cell-major payload disabled — the unspecialized fallback the
-	//     kernels replace (the quadtree and k-d tree keep their own build-time
-	//     kernels, so the *-qt rows isolate mostly the arena);
-	//   - "indirect": dimension-specialized kernels + pooled scratch, but
-	//     ForceIndirectLayout — every distance evaluation gathers its point
-	//     through the per-cell index list;
-	//   - "contiguous": the same kernels and arena over the cell-major payload,
-	//     where each cell's rows are one contiguous coordinate range — the
+	//   - "before": generic-D distance loops in the pipeline and no scratch
+	//     arena — the unspecialized fallback the kernels replace (the
+	//     quadtree and k-d tree keep their own build-time kernels, so the
+	//     *-qt rows isolate mostly the arena);
+	//   - "after": dimension-specialized kernels + pooled scratch — the
 	//     steady state of repeated Clusterer.Run calls.
-	// indirect vs contiguous isolates the memory-layout win alone.
+	// Both modes read the same cell-major payload.
 	Mode        string  `json:"mode"`
 	NsPerOp     int64   `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
@@ -62,10 +58,6 @@ type hotReport struct {
 	// headline configuration (generic+unpooled vs specialized+arena): the
 	// part of the allocation win the arena alone accounts for.
 	ModeAllocRatio float64 `json:"mode_alloc_ratio"`
-	// HeadlineLayoutSpeedup is indirect/contiguous ns-per-op for 2d-grid-bcp
-	// at the full point count: the clustering-phase win of the cell-major
-	// payload alone, with kernels and arena held identical on both sides.
-	HeadlineLayoutSpeedup float64 `json:"headline_layout_speedup"`
 }
 
 // seedAllocsPerOp is the measured allocs-per-op of a repeated, steady-state
@@ -91,14 +83,12 @@ type hotConfig struct {
 }
 
 // expHot measures the clustering phase (MarkCore + ClusterCore +
-// ClusterBorder over prepared cells) in three modes: "before" runs the
-// generic-D distance loops with no arena and no cell-major payload (every
-// run allocates its scratch), "indirect" runs the dimension-specialized
-// kernels with a warmed arena but ForceIndirectLayout (point gathers through
-// per-cell index lists), and "contiguous" runs the same kernels and arena
-// over the cell-major payload (the steady state of repeated Clusterer.Run).
-// Results of all modes are asserted identical on every configuration. With
-// -json it records BENCH_hot.json.
+// ClusterBorder over prepared cells) in two modes: "before" runs the
+// generic-D distance loops with no arena (every run allocates its scratch),
+// and "after" runs the dimension-specialized kernels with a warmed arena
+// (the steady state of repeated Clusterer.Run). Results of both modes are
+// asserted identical on every configuration. With -json it records
+// BENCH_hot.json.
 func expHot(o options) {
 	const minPts = 100
 	threads := effectiveThreads(o.threads)
@@ -118,8 +108,8 @@ func expHot(o options) {
 		{name: "approx", d: 5, scale: 5, mark: core.MarkScan, graph: core.GraphApprox, rho: 0.01},
 	}
 
-	tbl := newTable(fmt.Sprintf("hot path: minPts=%d threads=%d (before = generic kernel, no arena, indirect; indirect/contig = specialized + pooled, layout toggled)", minPts, threads),
-		"method", "d", "n", "before", "indirect", "contig", "speedup", "layout", "allocs before", "allocs after", "ratio")
+	tbl := newTable(fmt.Sprintf("hot path: minPts=%d threads=%d (before = generic kernel, no arena; after = specialized + pooled)", minPts, threads),
+		"method", "d", "n", "before", "after", "speedup", "allocs before", "allocs after", "ratio")
 
 	// Cell structures are shared per (d, n): they depend only on points/eps.
 	type cellKey struct{ d, n int }
@@ -148,38 +138,33 @@ func expHot(o options) {
 		params := core.Params{
 			MinPts: minPts, Rho: hc.rho, Mark: hc.mark, Graph: hc.graph, Exec: ex,
 		}
-		before := measureHot(cells, params, true, true, nil)
-		arena := core.NewArena()
-		indirect := measureHot(cells, params, false, true, arena)
-		contig := measureHot(cells, params, false, false, arena)
-		if before.Clusters != indirect.Clusters || before.Clusters != contig.Clusters {
-			fatalf("hot: %s %dd cluster count diverged: before %d, indirect %d, contiguous %d",
-				hc.name, hc.d, before.Clusters, indirect.Clusters, contig.Clusters)
+		before := measureHot(cells, params, true, nil)
+		after := measureHot(cells, params, false, core.NewArena())
+		if before.Clusters != after.Clusters {
+			fatalf("hot: %s %dd cluster count diverged: before %d, after %d",
+				hc.name, hc.d, before.Clusters, after.Clusters)
 		}
 		before.Method, before.D, before.N, before.Mode = hc.name, hc.d, n, "before"
-		indirect.Method, indirect.D, indirect.N, indirect.Mode = hc.name, hc.d, n, "indirect"
-		contig.Method, contig.D, contig.N, contig.Mode = hc.name, hc.d, n, "contiguous"
-		rep.Runs = append(rep.Runs, before, indirect, contig)
+		after.Method, after.D, after.N, after.Mode = hc.name, hc.d, n, "after"
+		rep.Runs = append(rep.Runs, before, after)
 
-		speedup := float64(before.NsPerOp) / float64(contig.NsPerOp)
-		layout := float64(indirect.NsPerOp) / float64(contig.NsPerOp)
-		ratio := before.AllocsPerOp / contig.AllocsPerOp
+		speedup := float64(before.NsPerOp) / float64(after.NsPerOp)
+		ratio := before.AllocsPerOp / after.AllocsPerOp
 		if hc.name == "2d-grid-bcp" {
 			rep.Headline2DGridSpeedup = speedup
-			rep.HeadlineLayoutSpeedup = layout
 			rep.SeedAllocsPerOp = seedAllocsPerOp
-			rep.HeadlineAllocRatio = seedAllocsPerOp / contig.AllocsPerOp
+			rep.HeadlineAllocRatio = seedAllocsPerOp / after.AllocsPerOp
 			rep.ModeAllocRatio = ratio
 		}
 		tbl.add(hc.name, fmt.Sprint(hc.d), fmt.Sprint(n),
-			fmtDur(time.Duration(before.NsPerOp)), fmtDur(time.Duration(indirect.NsPerOp)), fmtDur(time.Duration(contig.NsPerOp)),
-			fmt.Sprintf("%.2fx", speedup), fmt.Sprintf("%.2fx", layout),
-			fmt.Sprintf("%.0f", before.AllocsPerOp), fmt.Sprintf("%.0f", contig.AllocsPerOp),
+			fmtDur(time.Duration(before.NsPerOp)), fmtDur(time.Duration(after.NsPerOp)),
+			fmt.Sprintf("%.2fx", speedup),
+			fmt.Sprintf("%.0f", before.AllocsPerOp), fmt.Sprintf("%.0f", after.AllocsPerOp),
 			fmt.Sprintf("%.1fx", ratio))
 	}
 	tbl.print()
-	fmt.Printf("\nheadline (2d-grid-bcp, n=%d): %.2fx clustering-phase speedup (%.2fx from the cell-major layout alone); %.0fx fewer allocs/op than the seed implementation (%.0f -> measured above), %.1fx vs the in-run generic/unpooled mode\n",
-		o.n, rep.Headline2DGridSpeedup, rep.HeadlineLayoutSpeedup, rep.HeadlineAllocRatio, rep.SeedAllocsPerOp, rep.ModeAllocRatio)
+	fmt.Printf("\nheadline (2d-grid-bcp, n=%d): %.2fx clustering-phase speedup; %.0fx fewer allocs/op than the seed implementation (%.0f -> measured above), %.1fx vs the in-run generic/unpooled mode\n",
+		o.n, rep.Headline2DGridSpeedup, rep.HeadlineAllocRatio, rep.SeedAllocsPerOp, rep.ModeAllocRatio)
 
 	if o.jsonPath != "" {
 		writeJSON(o.jsonPath, rep)
@@ -189,12 +174,11 @@ func expHot(o options) {
 
 // shuffleRows deterministically permutes the dataset's row order
 // (Fisher-Yates over a splitmix64 stream). The synthetic generators emit
-// points cluster-by-cluster, an input order so spatially sorted that
-// same-cell points are already adjacent in memory — which hides the
-// indirect layout's gather cost and would understate the cell-major
-// payload's win. Real ingestion orders carry no such correlation between
-// array position and space; the shuffle restores that, and all three modes
-// see the identical permuted input.
+// points cluster-by-cluster; real ingestion orders carry no such
+// correlation between array position and space. The shuffle restores that —
+// the order of points within each cell, and so the scan order of every
+// early-terminating kernel, follows the input order — and both modes see
+// the identical permuted input.
 func shuffleRows(pts geom.Points, seed uint64) {
 	state := seed*0x9e3779b97f4a7c15 + 1
 	next := func() uint64 {
@@ -230,9 +214,8 @@ func hotEps(d int) float64 {
 // per-op latency and allocation counts. One warmup run is excluded (it pays
 // lazy builds and, in after mode, the arena's first-fill); measurement then
 // loops until both a minimum op count and a minimum wall time are reached.
-func measureHot(cells *grid.Cells, params core.Params, forceGeneric, forceIndirect bool, arena *core.Arena) hotRun {
+func measureHot(cells *grid.Cells, params core.Params, forceGeneric bool, arena *core.Arena) hotRun {
 	params.ForceGenericKernel = forceGeneric
-	params.ForceIndirectLayout = forceIndirect
 	params.Arena = arena
 	res, err := core.Run(cells, params)
 	if err != nil {

@@ -278,16 +278,16 @@ func FuzzHierarchyCut(f *testing.F) {
 	})
 }
 
-// FuzzLayoutEquivalence differentially checks the cell-major contiguous
-// layout against the indirect one: the same cells, params, and method run
-// once with the payload active and once with ForceIndirectLayout, and every
-// output — core flags, labels, multi-cluster border sets, cluster count —
-// must be bit-identical, not merely permutation-equal. The fuzz surface is
+// FuzzClusterOracleND holds the internal pipeline to the brute-force oracle
+// across dimensions and cell constructions: every configuration of the
+// matrix d in {2, 3, 5} x {grid-bcp, grid-qt, grid-approx}, plus the 2D
+// grid-usec, grid-delaunay and box-bcp, runs core.Run over cells built
+// directly and must return the exact DBSCAN result (Gan–Tao validity for
+// approx), as oracleCheck demands of the public methods. The fuzz surface is
 // the payload-row index space under adversarial point layouts (duplicate
-// points collapsing into one cell, exact-eps chains, one point per cell) ×
-// method × dimension; the layouts differ only in where the kernels read
-// coordinates from, so any divergence is an index-space translation bug.
-func FuzzLayoutEquivalence(f *testing.F) {
+// points collapsing into one cell, exact-eps chains, one point per cell):
+// any slip between payload rows and original indices breaks the oracle.
+func FuzzClusterOracleND(f *testing.F) {
 	// Exact-eps chain (the FuzzClusterOracle2D layout): cell-boundary
 	// decisions on every link.
 	chain := make([]byte, 0, 24*16)
@@ -322,6 +322,7 @@ func FuzzLayoutEquivalence(f *testing.F) {
 		}
 		pts := geom.Points{N: n, D: d, Data: data}
 		eps := 0.1 + float64(epsQ)/8
+		minPts := 1 + int(minPtsQ)%6
 
 		type method struct {
 			name  string
@@ -356,50 +357,12 @@ func FuzzLayoutEquivalence(f *testing.F) {
 				cells.ComputeNeighborsKD(nil)
 			}
 		}
-		if cells.Payload == nil {
-			t.Fatal("cells built without a cell-major payload")
-		}
-		params := core.Params{
-			MinPts: 1 + int(minPtsQ)%6, Rho: m.rho, Mark: m.mark, Graph: m.graph,
-		}
-		contig, err := core.Run(cells, params)
+		res, err := core.Run(cells, core.Params{MinPts: minPts, Rho: m.rho, Mark: m.mark, Graph: m.graph})
 		if err != nil {
-			t.Fatalf("%s d=%d contiguous: %v", m.name, d, err)
+			t.Fatalf("%s d=%d: %v", m.name, d, err)
 		}
-		params.ForceIndirectLayout = true
-		indirect, err := core.Run(cells, params)
-		if err != nil {
-			t.Fatalf("%s d=%d indirect: %v", m.name, d, err)
-		}
-
-		if contig.NumClusters != indirect.NumClusters {
-			t.Fatalf("%s d=%d n=%d eps=%v: NumClusters %d (contiguous) vs %d (indirect)",
-				m.name, d, n, eps, contig.NumClusters, indirect.NumClusters)
-		}
-		for i := 0; i < n; i++ {
-			if contig.Core[i] != indirect.Core[i] {
-				t.Fatalf("%s d=%d n=%d eps=%v: Core[%d] %v vs %v",
-					m.name, d, n, eps, i, contig.Core[i], indirect.Core[i])
-			}
-			if contig.Labels[i] != indirect.Labels[i] {
-				t.Fatalf("%s d=%d n=%d eps=%v: Labels[%d] %d vs %d",
-					m.name, d, n, eps, i, contig.Labels[i], indirect.Labels[i])
-			}
-		}
-		if len(contig.Border) != len(indirect.Border) {
-			t.Fatalf("%s d=%d n=%d eps=%v: Border size %d vs %d",
-				m.name, d, n, eps, len(contig.Border), len(indirect.Border))
-		}
-		for p, want := range indirect.Border {
-			got, ok := contig.Border[p]
-			if !ok || len(got) != len(want) {
-				t.Fatalf("%s d=%d n=%d eps=%v: Border[%d] %v vs %v", m.name, d, n, eps, p, got, want)
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("%s d=%d n=%d eps=%v: Border[%d] %v vs %v", m.name, d, n, eps, p, got, want)
-				}
-			}
+		if err := oracleVerdict(pts, eps, minPts, m.rho, res.Core, res.Labels, res.Border, res.NumClusters); err != nil {
+			t.Fatalf("%s d=%d n=%d eps=%v minPts=%d: %v", m.name, d, n, eps, minPts, err)
 		}
 	})
 }

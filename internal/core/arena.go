@@ -71,8 +71,9 @@ type workerScratch struct {
 	primOwn   []int32      // cellMREdges: own-cell core-capable vertex list
 	primVerts []int32      // cellMREdges: per-cell-pair bipartite vertex list
 	primKey   []float64    // primForest: best edge weight to the growing tree
-	primFrom  []int32      // primForest: tree endpoint of the best edge
+	primFrom  []int32      // primForest: tree endpoint (original index) of the best edge
 	primSide  []bool       // primForest: bipartite side flag per vertex
+	primID    []int32      // primForest: original point index per vertex (tie-break)
 }
 
 // getRun checks a runScratch out of the arena (a fresh one when the arena is

@@ -50,9 +50,8 @@ func (st *pipeline) clusterBorder(labels []int32, numClusters int) map[int32][]i
 				// sample mask big cells hold unsampled non-core points)
 			}
 			built := false
-			pts := st.cellPts(g)
-			orig := c.PointsOf(g) // == pts on the indirect path
-			for i, p := range pts {
+			orig := c.PointsOf(g)
+			for i, p := range c.RowsOf(g) {
 				op := orig[i]
 				if st.coreFlags[op] {
 					continue
@@ -153,14 +152,12 @@ func (st *pipeline) borderScanCell(p, h int32, labels []int32, found []int32) []
 	if st.k.PointBoxDistSqAt(p, st.coreBBLo, st.coreBBHi, h) > st.eps2 {
 		return found
 	}
-	if st.contig {
-		// Full-cell core lists are dense payload row ranges; stream them.
-		if cs := st.cells.CellStart; len(core) == int(cs[h+1]-cs[h]) {
-			if st.k.AnyWithinRange(p, cs[h], cs[h+1], st.eps2) {
-				return insertLabel(found, lbl)
-			}
-			return found
+	// Full-cell core lists are dense payload row ranges; stream them.
+	if cs := st.cells.CellStart; len(core) == int(cs[h+1]-cs[h]) {
+		if st.k.AnyWithinRange(p, cs[h], cs[h+1], st.eps2) {
+			return insertLabel(found, lbl)
 		}
+		return found
 	}
 	if st.k.AnyWithin(p, core, st.eps2) {
 		return insertLabel(found, lbl)
@@ -169,10 +166,10 @@ func (st *pipeline) borderScanCell(p, h int32, labels []int32, found []int32) []
 }
 
 // coreLabelOf returns the cluster label of core cell h (all cores of one cell
-// share a cluster), resolving the representative through origOf — labels are
-// keyed by original index while core lists live in the active store's space.
+// share a cluster), resolving the representative through Order — labels are
+// keyed by original index while core lists hold payload rows.
 func (st *pipeline) coreLabelOf(h int32, labels []int32) int32 {
-	return labels[st.origOf(st.corePts[h][0])]
+	return labels[st.cells.Order[st.corePts[h][0]]]
 }
 
 // boxBoxMaxDistSq returns the squared maximum distance between two

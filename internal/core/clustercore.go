@@ -163,45 +163,33 @@ func (st *pipeline) bcpConnected(g, h int32, ws *workerScratch) bool {
 	hLo, hHi := st.coreBBLo[int(h)*d:(int(h)+1)*d], st.coreBBHi[int(h)*d:(int(h)+1)*d]
 
 	// Filter: only points within eps of the other cell's core box can be in
-	// a qualifying pair. On the contiguous layout a full-cell core list is
-	// exactly the dense payload row range [CellStart[g], CellStart[g+1]), so
-	// the filter — and, when both filters keep everything, the blocked scan —
-	// streams the payload with no index list at all. The range forms evaluate
-	// the same points in the same order, so the answer is bit-identical.
-	if st.contig {
-		cs := st.cells.CellStart
-		gFull := len(gPts) == int(cs[g+1]-cs[g])
-		hFull := len(hPts) == int(cs[h+1]-cs[h])
-		if gFull {
-			ws.gf = st.k.FilterNearRangeInto(ws.gf[:0], cs[g], cs[g+1], hLo, hHi, eps2)
-		} else {
-			ws.gf = st.k.FilterNearInto(ws.gf[:0], gPts, hLo, hHi, eps2)
-		}
-		if len(ws.gf) == 0 {
-			return false
-		}
-		if hFull {
-			ws.hf = st.k.FilterNearRangeInto(ws.hf[:0], cs[h], cs[h+1], gLo, gHi, eps2)
-		} else {
-			ws.hf = st.k.FilterNearInto(ws.hf[:0], hPts, gLo, gHi, eps2)
-		}
-		if len(ws.hf) == 0 {
-			return false
-		}
-		if gFull && hFull && len(ws.gf) == len(gPts) && len(ws.hf) == len(hPts) {
-			return st.k.AnyPairWithinRanges(cs[g], cs[g+1], cs[h], cs[h+1], eps2)
-		}
-		return st.k.AnyPairWithin(ws.gf, ws.hf, eps2)
+	// a qualifying pair. A full-cell core list is exactly the dense payload
+	// row range [CellStart[g], CellStart[g+1]), so the filter — and, when
+	// both filters keep everything, the blocked scan — streams the payload
+	// with no index list at all. The range forms evaluate the same points in
+	// the same order as the list forms, so the answer is bit-identical.
+	cs := st.cells.CellStart
+	gFull := len(gPts) == int(cs[g+1]-cs[g])
+	hFull := len(hPts) == int(cs[h+1]-cs[h])
+	if gFull {
+		ws.gf = st.k.FilterNearRangeInto(ws.gf[:0], cs[g], cs[g+1], hLo, hHi, eps2)
+	} else {
+		ws.gf = st.k.FilterNearInto(ws.gf[:0], gPts, hLo, hHi, eps2)
 	}
-	ws.gf = st.k.FilterNearInto(ws.gf[:0], gPts, hLo, hHi, eps2)
 	if len(ws.gf) == 0 {
 		return false
 	}
-	ws.hf = st.k.FilterNearInto(ws.hf[:0], hPts, gLo, gHi, eps2)
+	if hFull {
+		ws.hf = st.k.FilterNearRangeInto(ws.hf[:0], cs[h], cs[h+1], gLo, gHi, eps2)
+	} else {
+		ws.hf = st.k.FilterNearInto(ws.hf[:0], hPts, gLo, gHi, eps2)
+	}
 	if len(ws.hf) == 0 {
 		return false
 	}
-
+	if gFull && hFull && len(ws.gf) == len(gPts) && len(ws.hf) == len(hPts) {
+		return st.k.AnyPairWithinRanges(cs[g], cs[g+1], cs[h], cs[h+1], eps2)
+	}
 	// Blocked early-termination scan.
 	return st.k.AnyPairWithin(ws.gf, ws.hf, eps2)
 }
@@ -257,13 +245,10 @@ func (st *pipeline) clusterCoreDelaunay() {
 	for _, g := range st.coreCells {
 		all = append(all, st.corePts[g]...)
 	}
-	if st.contig {
-		// The triangulation runs over the original store (CellOf is keyed by
-		// original index); map payload rows back through Order. The mapped
-		// sequence equals the indirect path's gather element for element.
-		for i, p := range all {
-			all[i] = st.cells.Order[p]
-		}
+	// The triangulation runs over the original store (CellOf is keyed by
+	// original index); map payload rows back through Order.
+	for i, p := range all {
+		all[i] = st.cells.Order[p]
 	}
 	edges := delaunay.Triangulate(st.ex, st.cells.Pts, all)
 	cellEdges := delaunay.FilterCellEdges(st.ex, edges, st.cells.Pts, st.cells.CellOf, st.eps)

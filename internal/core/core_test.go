@@ -274,6 +274,11 @@ func TestInvalidParams(t *testing.T) {
 	if _, err := Run(noNbrs, Params{MinPts: 5, Graph: GraphBCP}); err == nil {
 		t.Fatal("expected error for missing neighbors")
 	}
+	noPayload := *cells
+	noPayload.Payload = nil
+	if _, err := Run(&noPayload, Params{MinPts: 5, Graph: GraphBCP}); err == nil {
+		t.Fatal("expected error for cells without a payload")
+	}
 	pts3 := clusteredPoints(50, 3, 10, 6)
 	cells3 := buildGridCells(pts3, 1.0)
 	if _, err := Run(cells3, Params{MinPts: 5, Graph: GraphUSEC}); err == nil {

@@ -79,10 +79,10 @@ func ComputeHierarchy(cells *grid.Cells, p Params) (*HierarchyData, error) {
 	if p.Sample != nil {
 		return nil, fmt.Errorf("core: sampled-core mode does not apply to hierarchy builds")
 	}
-	// The build emits point-indexed output (cd2, MSF edges) from inside its
-	// scan loops; it runs on the original point order rather than paying a
-	// per-pair row translation.
-	p.ForceIndirectLayout = true
+	// The scans run on payload rows, like every other phase; only the output
+	// speaks original indices: edge endpoints are mapped through Order as
+	// they are emitted, and the per-row core distances are scattered once
+	// at the end.
 	st := newPipeline(cells, p)
 	defer st.release()
 	if err := st.phase("coredist"); err != nil {
@@ -97,21 +97,23 @@ func ComputeHierarchy(cells *grid.Cells, p Params) (*HierarchyData, error) {
 		return nil, err
 	}
 	edges := st.mergeMSF(parts)
+	coreDist2 := make([]float64, cells.Pts.N) // escapes into HierarchyData; never pooled
+	st.ex.For(len(cd2), func(r int) { coreDist2[cells.Order[r]] = cd2[r] })
 	if err := st.phase("done"); err != nil {
 		return nil, err
 	}
-	return &HierarchyData{CoreDist2: cd2, Edges: edges}, nil
+	return &HierarchyData{CoreDist2: coreDist2, Edges: edges}, nil
 }
 
-// coreDistances computes cd2 for every point: the MinPts-th smallest squared
-// distance within the cell's eps-neighborhood (own cell plus grid neighbors),
-// +Inf when fewer than MinPts candidates are within eps. Unlike markCore
-// there is no all-core cell shortcut — the actual k-th distance is needed,
-// not just the threshold decision.
+// coreDistances computes cd2 for every payload row: the MinPts-th smallest
+// squared distance within the cell's eps-neighborhood (own cell plus grid
+// neighbors), +Inf when fewer than MinPts candidates are within eps. Unlike
+// markCore there is no all-core cell shortcut — the actual k-th distance is
+// needed, not just the threshold decision.
 func (st *pipeline) coreDistances() []float64 {
 	c := st.cells
 	numCells := c.NumCells()
-	cd2 := make([]float64, c.Pts.N) // escapes into HierarchyData; never pooled
+	cd2 := make([]float64, len(c.Order))
 	st.ex.BlockedFor(numCells, 1, func(lo, hi int) {
 		ws := st.getWS()
 		for g := lo; g < hi; g++ {
@@ -125,15 +127,16 @@ func (st *pipeline) coreDistances() []float64 {
 	return cd2
 }
 
-// cellCoreDistances fills cd2 for the points of cell g. Neighbor cells are
+// cellCoreDistances fills cd2 for the rows of cell g. Neighbor cells are
 // ordered by ascending box-box distance (as in markCellCore) so that once a
 // point's bounded max-heap is full, any cell whose box lies beyond the
-// current k-th distance — and every cell after it — can be skipped.
+// current k-th distance — and every cell after it — can be skipped. Every
+// cell is a contiguous payload row range, scanned in place.
 func (st *pipeline) cellCoreDistances(g int, ws *workerScratch, cd2 []float64) {
 	c := st.cells
+	cs := c.CellStart
 	minPts := st.p.MinPts
 	eps2 := st.eps2
-	pts := c.PointsOf(g)
 
 	ord := ws.nbrOrder[:0]
 	dist := ws.nbrDist[:0]
@@ -148,11 +151,11 @@ func (st *pipeline) cellCoreDistances(g int, ws *workerScratch, cd2 []float64) {
 	sortNeighborsByDist(ws, ord, dist)
 	ws.nbrOrder, ws.nbrDist = ord, dist // keep grown capacity
 
-	for _, p := range pts {
+	for p := cs[g]; p < cs[g+1]; p++ {
 		h := ws.kthHeap[:0]
 		// Own cell first: includes p itself at distance 0, matching the
 		// paper's "counting the point itself" core definition.
-		for _, q := range pts {
+		for q := cs[g]; q < cs[g+1]; q++ {
 			d2 := st.k.DistSq(p, q)
 			if d2 <= eps2 {
 				h = heapPushBounded(h, d2, minPts)
@@ -174,7 +177,7 @@ func (st *pipeline) cellCoreDistances(g int, ws *workerScratch, cd2 []float64) {
 			if st.k.PointBoxDistSqAt(p, c.BBLo, c.BBHi, nb) > bound {
 				continue
 			}
-			for _, q := range c.PointsOf(int(nb)) {
+			for q := cs[nb]; q < cs[nb+1]; q++ {
 				d2 := st.k.DistSq(p, q)
 				if d2 <= eps2 {
 					h = heapPushBounded(h, d2, minPts)
@@ -306,11 +309,10 @@ func (st *pipeline) mrEdgeParts(cd2 []float64) [][]MREdge {
 func (st *pipeline) cellMREdges(g int, cd2 []float64, ws *workerScratch, buf []MREdge) []MREdge {
 	c := st.cells
 	eps2 := st.eps2
-	pts := c.PointsOf(g)
 
 	// Own-cell clique over the core-capable points.
 	own := ws.primOwn[:0]
-	for _, p := range pts {
+	for _, p := range c.RowsOf(g) {
 		if cd2[p] <= eps2 {
 			own = append(own, p)
 		}
@@ -339,7 +341,7 @@ func (st *pipeline) cellMREdges(g int, cd2 []float64, ws *workerScratch, buf []M
 			ws.primVerts = verts
 			continue
 		}
-		for _, q := range c.PointsOf(int(nb)) {
+		for _, q := range c.RowsOf(int(nb)) {
 			if cd2[q] <= eps2 && st.k.PointBoxDistSqAt(q, c.BBLo, c.BBHi, int32(g)) <= eps2 {
 				verts = append(verts, q)
 			}
@@ -355,16 +357,19 @@ func (st *pipeline) cellMREdges(g int, cd2 []float64, ws *workerScratch, buf []M
 
 // primForest appends a minimum spanning forest of one cell-local subgraph to
 // buf via a dense Prim scan with forest restarts. verts lists the subgraph's
-// points; split selects the edge set: split == 0 means the complete graph on
-// verts (own-cell pairs, still subject to d2 <= eps2), split > 0 means the
-// bipartite graph between verts[:split] and verts[split:] (cross-cell pairs).
+// payload rows; split selects the edge set: split == 0 means the complete
+// graph on verts (own-cell pairs, still subject to d2 <= eps2), split > 0
+// means the bipartite graph between verts[:split] and verts[split:]
+// (cross-cell pairs).
 // Pairs beyond eps are absent (weight +Inf). Each candidate pair's distance
 // is computed exactly once — when its first endpoint joins the tree.
 //
 // Determinism: the next vertex is the unattached one with the minimum
-// (key, id), and a key is only replaced by a strictly smaller weight, so the
-// emitted edge set depends solely on the subgraph, not on worker count or
-// scan history. Restarts (key +Inf) start a new tree without emitting.
+// (key, id), where id is the vertex's original point index (Order[row]), and
+// a key is only replaced by a strictly smaller weight, so the emitted edge
+// set depends solely on the subgraph, not on worker count, scan history or
+// row numbering. Restarts (key +Inf) start a new tree without emitting.
+// Emitted endpoints are original point indices.
 func (st *pipeline) primForest(verts []int32, split int, cd2 []float64, ws *workerScratch, buf []MREdge) []MREdge {
 	m := len(verts)
 	if m < 2 {
@@ -386,17 +391,24 @@ func (st *pipeline) primForest(verts []int32, split int, cd2 []float64, ws *work
 		side = make([]bool, m)
 	}
 	side = side[:m]
+	id := ws.primID
+	if cap(id) < m {
+		id = make([]int32, m)
+	}
+	id = id[:m]
+	order := st.cells.Order
 	for i := range key {
 		key[i] = math.Inf(1)
 		from[i] = -1
 		side[i] = i >= split
+		id[i] = order[verts[i]]
 	}
-	ws.primKey, ws.primFrom, ws.primSide = key, from, side
+	ws.primKey, ws.primFrom, ws.primSide, ws.primID = key, from, side, id
 
 	for step := 0; step < m; step++ {
 		best := step
 		for j := step + 1; j < m; j++ {
-			if key[j] < key[best] || (key[j] == key[best] && verts[j] < verts[best]) {
+			if key[j] < key[best] || (key[j] == key[best] && id[j] < id[best]) {
 				best = j
 			}
 		}
@@ -405,11 +417,12 @@ func (st *pipeline) primForest(verts []int32, split int, cd2 []float64, ws *work
 			key[step], key[best] = key[best], key[step]
 			from[step], from[best] = from[best], from[step]
 			side[step], side[best] = side[best], side[step]
+			id[step], id[best] = id[best], id[step]
 		}
 		v := verts[step]
 		cv := cd2[v]
 		if from[step] >= 0 {
-			buf = append(buf, makeMREdge(from[step], v, key[step], 0, 0))
+			buf = append(buf, makeMREdge(from[step], id[step], key[step]))
 		}
 		// Relax the unattached vertices against v. In the bipartite case
 		// only the opposite side is adjacent.
@@ -430,25 +443,19 @@ func (st *pipeline) primForest(verts []int32, split int, cd2 []float64, ws *work
 			}
 			if w < key[j] {
 				key[j] = w
-				from[j] = v
+				from[j] = id[step]
 			}
 		}
 	}
 	return buf
 }
 
-func makeMREdge(p, q int32, d2, cp, cq float64) MREdge {
-	w := d2
-	if cp > w {
-		w = cp
-	}
-	if cq > w {
-		w = cq
-	}
+// makeMREdge orders the endpoints of an edge of squared weight w2.
+func makeMREdge(p, q int32, w2 float64) MREdge {
 	if p > q {
 		p, q = q, p
 	}
-	return MREdge{W2: w, A: p, B: q}
+	return MREdge{W2: w2, A: p, B: q}
 }
 
 // mergeMSF concatenates the per-block MSFs, sorts them in parallel by the

@@ -4,41 +4,28 @@ import (
 	"fmt"
 
 	"pdbscan/internal/grid"
-	"pdbscan/internal/prim"
-	"pdbscan/internal/quadtree"
 )
 
-// Incremental carries the per-cell pipeline state that survives between
-// streaming runs: core flags per point slot, per-cell quadtrees, and the
-// boolean cell-graph edge set. It pairs with grid.Dynamic — the cell slots
-// and point slots the caches are keyed by are the ones Dynamic keeps stable
-// across mutations — and with the affected set a Snapshot reports: only state
-// whose inputs fall in that set is recomputed by RunIncremental.
+// Incremental carries the pipeline state that survives between streaming
+// runs: core flags per point slot and the boolean cell-graph edge set. It
+// pairs with grid.Dynamic — the cell slots and point slots the caches are
+// keyed by are the ones Dynamic keeps stable across mutations — and with the
+// affected set a Snapshot reports: only state whose inputs fall in that set
+// is recomputed by RunIncremental. Nothing keyed by payload row is cached:
+// every Snapshot renumbers the rows, so per-cell core lists, their bounding
+// boxes and quadtrees are re-derived by each run (a linear collect pass and
+// lazy per-run trees).
 //
 // The zero value is not usable; create with NewIncremental. An Incremental
 // must not be shared between concurrent RunIncremental calls (the streaming
 // API serializes).
 type Incremental struct {
 	valid  bool
-	minPts int // the MinPts coreFlags (and corePts-derived caches) hold for
+	minPts int // the MinPts coreFlags hold for
 
 	// coreFlags[p] for every point slot; stale entries are overwritten for
 	// affected cells and cleared for freed slots on every run.
 	coreFlags []bool
-
-	// Per-cell core point lists and their bounding boxes (the collectCore
-	// products), valid for clean cells whenever MinPts is unchanged.
-	corePts  [][]int32
-	coreBBLo []float64
-	coreBBHi []float64
-
-	// Per-cell quadtrees. allTrees depend only on the cell's point set;
-	// coreTrees additionally on MinPts (via the core point list) and the
-	// depth cap (via Graph kind and Rho).
-	allTrees   []*quadtree.Tree
-	coreTrees  []*quadtree.Tree
-	coreMinPts int
-	coreDepth  int
 
 	// edges holds the connectivity boolean of every neighboring core-cell
 	// pair: edges[g] lists, in ascending h order, the booleans for g's
@@ -63,7 +50,7 @@ type Incremental struct {
 // NewIncremental returns an empty cache; the first RunIncremental on it
 // computes everything and later runs reuse whatever the DirtyInfo allows.
 func NewIncremental() *Incremental {
-	return &Incremental{coreDepth: -2}
+	return &Incremental{}
 }
 
 // Fresh reports whether the cache has absorbed no run yet — the next
@@ -81,10 +68,11 @@ type edgeEntry struct {
 // RunIncremental executes the pipeline over a Dynamic snapshot, recomputing
 // MarkCore and the cell-graph edges only for cells in dirty's affected set
 // (plus everything, when MinPts or the connectivity kind changed since the
-// cached state was built) and reusing inc's caches for the rest. Cluster
-// connectivity is rebuilt from the preserved + recomputed edge booleans with
-// a fresh union-find, and labels and borders are re-derived in full — both
-// are cheap linear passes compared to the distance work the caches avoid.
+// cached state was built) and reusing inc's caches for the rest. The core
+// lists are re-collected from the flags, cluster connectivity is rebuilt
+// from the preserved + recomputed edge booleans with a fresh union-find, and
+// labels and borders are re-derived in full — all cheap linear passes
+// compared to the distance work the caches avoid.
 //
 // The result is exactly the clustering Run produces on the same cells, up to
 // cluster label permutation. The exact graph strategies (BCP, quadtree, USEC,
@@ -103,12 +91,6 @@ func RunIncremental(cells *grid.Cells, p Params, inc *Incremental, dirty *grid.D
 	if p.Sample != nil {
 		return nil, fmt.Errorf("core: sampled-core mode is batch-only (no incremental path)")
 	}
-	// The incremental caches (core lists, quadtrees, edge endpoints) are
-	// keyed by original point index and survive across ticks, while the
-	// cell-major payload's row space is rebuilt by every Snapshot — a
-	// payload-row run would poison every cached index. Run indirect.
-	p.ForceIndirectLayout = true
-
 	// Normalize the connectivity kind: every exact strategy shares one edge
 	// boolean ("some core pair within eps"), computed by filtered BCP.
 	kind := GraphBCP
@@ -120,51 +102,19 @@ func RunIncremental(cells *grid.Cells, p Params, inc *Incremental, dirty *grid.D
 	numCells := cells.NumCells()
 	n := cells.Pts.N
 
-	// Dirty predicates. Content-dirty: the cell's own point set (or its
-	// eps-neighborhood) changed. Core-dirty additionally triggers when the
-	// cached core flags were computed for a different MinPts. The hot loops
-	// take (allDirty, affected) directly — a closure call per neighbor visit
-	// is measurable at cell-graph scale.
-	contentAllDirty := dirty.Full || !inc.valid
-	allDirty := contentAllDirty || p.MinPts != inc.minPts
+	// Core-dirty cells re-mark: the affected ones, or every cell when the
+	// cached flags were computed for a different MinPts. The hot loops take
+	// (allDirty, affected) directly — a closure call per neighbor visit is
+	// measurable at cell-graph scale.
+	allDirty := dirty.Full || !inc.valid || p.MinPts != inc.minPts
 	affected := dirty.Affected
-	contentDirty := func(g int) bool { return contentAllDirty || affected[g] }
-	coreDirty := func(g int) bool { return allDirty || affected[g] }
-
-	// Drop tree caches whose validity keys no longer match, and invalidate
-	// per-cell entries regardless of whether this run will use them — the
-	// next run that does must not see stale trees.
-	if inc.allTrees != nil {
-		inc.allTrees = resizeTrees(inc.allTrees, numCells)
-		for g := range inc.allTrees {
-			if contentDirty(g) {
-				inc.allTrees[g] = nil
-			}
-		}
-	}
-	maxDepth := -1
-	if kind == GraphApprox {
-		maxDepth = quadtree.ApproxDepth(p.Rho)
-	}
-	if inc.coreTrees != nil {
-		if inc.coreMinPts != p.MinPts || (kind == GraphApprox && inc.coreDepth != maxDepth) {
-			inc.coreTrees = nil
-		} else {
-			inc.coreTrees = resizeTrees(inc.coreTrees, numCells)
-			for g := range inc.coreTrees {
-				if coreDirty(g) {
-					inc.coreTrees[g] = nil
-				}
-			}
-		}
-	}
 
 	st := newPipeline(cells, p)
 	defer st.release()
 
 	// Cancellation boundary: a cancelled incremental run leaves inc's caches
-	// half-absorbed (flags, lists, and edges are updated in place), so the
-	// cache is poisoned before the error returns — the owner either drops it
+	// half-absorbed (flags and edges are updated in place), so the cache is
+	// poisoned before the error returns — the owner either drops it
 	// (StreamingClusterer replaces a failed run's cache) or the next run sees
 	// Fresh() and recomputes everything. Either way no stale entry survives.
 	boundary := func(name string) error {
@@ -186,7 +136,6 @@ func RunIncremental(cells *grid.Cells, p Params, inc *Incremental, dirty *grid.D
 	if p.Mark == MarkQuadtree {
 		st.rs.allTrees = lazyTreeBuf(st.rs.allTrees, numCells)
 		st.allTrees = st.rs.allTrees
-		st.preAllTrees = inc.allTrees // nil entries (or a nil slice) build lazily
 	}
 	st.ex.For(n, func(i int) {
 		if cells.CellOf[i] < 0 {
@@ -209,7 +158,7 @@ func RunIncremental(cells *grid.Cells, p Params, inc *Incremental, dirty *grid.D
 	if err := boundary("collect"); err != nil {
 		return nil, err
 	}
-	st.collectCoreIncremental(inc, allDirty, affected)
+	st.collectCore()
 	if err := boundary("graph"); err != nil {
 		return nil, err
 	}
@@ -226,17 +175,8 @@ func RunIncremental(cells *grid.Cells, p Params, inc *Incremental, dirty *grid.D
 		return nil, err
 	}
 
-	// Harvest the caches for the next run.
 	inc.valid = true
 	inc.minPts = p.MinPts
-	if p.Mark == MarkQuadtree {
-		inc.allTrees = harvestTrees(inc.allTrees, st.allTrees, numCells)
-	}
-	if kind == GraphApprox {
-		inc.coreTrees = harvestTrees(inc.coreTrees, st.coreTrees, numCells)
-		inc.coreMinPts = p.MinPts
-		inc.coreDepth = maxDepth
-	}
 
 	// The result's flags must not alias the cache (the cache mutates on the
 	// next run).
@@ -250,66 +190,6 @@ func RunIncremental(cells *grid.Cells, p Params, inc *Incremental, dirty *grid.D
 	}, nil
 }
 
-// collectCoreIncremental is collectCore over the cached per-cell core lists:
-// only core-dirty cells re-derive their core points and core bounding box;
-// clean cells keep last tick's (their flags and point sets are unchanged).
-// All-core cells are re-aliased to the current snapshot's point list so no
-// cache entry pins a previous snapshot's Order array.
-func (st *pipeline) collectCoreIncremental(inc *Incremental, allDirty bool, affected []bool) {
-	c := st.cells
-	d := c.Pts.D
-	numCells := c.NumCells()
-	for len(inc.corePts) < numCells {
-		inc.corePts = append(inc.corePts, nil)
-	}
-	inc.corePts = inc.corePts[:numCells]
-	inc.coreBBLo = resizeFloats(inc.coreBBLo, numCells*d)
-	inc.coreBBHi = resizeFloats(inc.coreBBHi, numCells*d)
-	st.corePts = inc.corePts
-	st.coreBBLo = inc.coreBBLo
-	st.coreBBHi = inc.coreBBHi
-	st.ex.ForGrain(numCells, 1, func(g int) {
-		if !allDirty && !affected[g] {
-			if len(st.corePts[g]) > 0 && len(st.corePts[g]) == c.CellSize(g) {
-				st.corePts[g] = c.PointsOf(g) // same contents, current backing
-			}
-			return
-		}
-		st.collectCellCore(g)
-	})
-	st.coreCells = prim.FilterIndex(st.ex, numCells, func(g int) bool {
-		return len(st.corePts[g]) > 0
-	})
-}
-
-func resizeFloats(a []float64, n int) []float64 {
-	if cap(a) >= n {
-		return a[:n]
-	}
-	out := make([]float64, n)
-	copy(out, a)
-	return out
-}
-
-func resizeTrees(trees []*quadtree.Tree, numCells int) []*quadtree.Tree {
-	for len(trees) < numCells {
-		trees = append(trees, nil)
-	}
-	return trees[:numCells]
-}
-
-// harvestTrees merges the trees built during this run (st's lazy slots) into
-// the cache slice: a pre-seeded entry stays, a freshly built one is adopted.
-func harvestTrees(cached []*quadtree.Tree, built []lazyTree, numCells int) []*quadtree.Tree {
-	cached = resizeTrees(cached, numCells)
-	for g := range built {
-		if t := built[g].tree; t != nil {
-			cached[g] = t
-		}
-	}
-	return cached
-}
-
 // clusterCoreIncremental builds the cell graph like clusterCore, but
 // evaluates the connectivity boolean of every neighboring core-cell pair —
 // reusing the cached boolean when both endpoints are outside the core-dirty
@@ -320,17 +200,7 @@ func harvestTrees(cached []*quadtree.Tree, built []lazyTree, numCells int) []*qu
 func (st *pipeline) clusterCoreIncremental(inc *Incremental, kind GraphStrategy, allDirty bool, affected []bool) {
 	numCells := st.cells.NumCells()
 	st.initUF(numCells)
-
-	var connect connectFunc
-	switch kind {
-	case GraphBCP:
-		connect = st.bcpConnected
-	case GraphApprox:
-		st.rs.coreTrees = lazyTreeBuf(st.rs.coreTrees, numCells)
-		st.coreTrees = st.rs.coreTrees
-		st.preCoreTrees = inc.preCoreTreesFor(numCells)
-		connect = st.approxConnected
-	}
+	connect := st.connectFn() // kind is GraphBCP or GraphApprox
 
 	// A cached edge boolean is reusable only if it was computed by the same
 	// deterministic function: same MinPts (core point sets), same kind, and
@@ -424,14 +294,4 @@ func (st *pipeline) clusterCoreIncremental(inc *Incremental, kind GraphStrategy,
 	inc.edges = newEdges
 	inc.edgeKind = kind
 	inc.edgeRho = st.p.Rho
-}
-
-// preCoreTreesFor returns the cached core trees sized to numCells (nil when
-// nothing is cached).
-func (inc *Incremental) preCoreTreesFor(numCells int) []*quadtree.Tree {
-	if inc.coreTrees == nil {
-		return nil
-	}
-	inc.coreTrees = resizeTrees(inc.coreTrees, numCells)
-	return inc.coreTrees
 }

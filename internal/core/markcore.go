@@ -54,13 +54,13 @@ func (st *pipeline) markCellCore(g int, ws *workerScratch) {
 	minPts := st.p.MinPts
 	eps2 := st.eps2
 	size := c.CellSize(g)
-	pts := st.cellPts(g)
-	orig := c.PointsOf(g) // == pts on the indirect path
+	rows := c.RowsOf(g)
+	orig := c.PointsOf(g)
 	sample := st.p.Sample
 	if size >= minPts {
 		// Every pair inside a cell is within eps (cell diameter <= eps).
 		// Flags and the sample mask are keyed by original index, so this
-		// shortcut never touches the active store at all.
+		// shortcut never touches the payload at all.
 		if sample != nil {
 			for _, p := range orig {
 				st.coreFlags[p] = sample[p]
@@ -84,7 +84,7 @@ func (st *pipeline) markCellCore(g int, ws *workerScratch) {
 	}
 	if !ordered {
 		// Unordered fallback: per-point box check + early exit.
-		for i, p := range pts {
+		for i, p := range rows {
 			op := orig[i]
 			if sample != nil && !sample[op] {
 				st.coreFlags[op] = false
@@ -120,7 +120,7 @@ func (st *pipeline) markCellCore(g int, ws *workerScratch) {
 	ws.nbrOrder, ws.nbrDist = ord, dist // keep grown capacity
 
 	// Each point runs RangeCount against the ordered neighbors.
-	for i, p := range pts {
+	for i, p := range rows {
 		op := orig[i]
 		if sample != nil && !sample[op] {
 			st.coreFlags[op] = false
@@ -147,12 +147,9 @@ func (st *pipeline) rangeCount(p, h int32, eps2 float64, need int) int {
 	if st.p.Mark == MarkQuadtree {
 		return st.allTree(h).CountWithin(st.at(p), st.eps)
 	}
-	if st.contig {
-		// Cell h's points are the contiguous payload rows
-		// [CellStart[h], CellStart[h+1]): stream them instead of gathering.
-		return st.k.CountWithinRange(p, st.cells.CellStart[h], st.cells.CellStart[h+1], eps2, need)
-	}
-	return st.k.CountWithin(p, st.cells.PointsOf(int(h)), eps2, need)
+	// Cell h's points are the contiguous payload rows [CellStart[h],
+	// CellStart[h+1]): stream them.
+	return st.k.CountWithinRange(p, st.cells.CellStart[h], st.cells.CellStart[h+1], eps2, need)
 }
 
 // maxOrderedNeighbors is the neighbor-list length up to which the ordered

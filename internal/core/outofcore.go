@@ -441,15 +441,8 @@ func (r *oocRun) delaunayTurn(t *oocTurn, owned []int32) {
 	for _, lg := range owned {
 		all = append(all, st.corePts[lg]...)
 	}
-	if st.contig {
-		// The triangulation runs over the window's original store (CellOf is
-		// keyed by window-local index); map payload rows back through Order.
-		// With BuildCellMajor's identity Order this is a no-op, but the
-		// translation keeps the layouts interchangeable.
-		for i, p := range all {
-			all[i] = st.cells.Order[p]
-		}
-	}
+	// With BuildCellMajor's identity Order, payload rows are window-local
+	// store indices — the index space of Pts and CellOf — as they are.
 	edges := delaunay.Triangulate(st.ex, st.cells.Pts, all)
 	cellEdges := delaunay.FilterCellEdges(st.ex, edges, st.cells.Pts, st.cells.CellOf, st.eps)
 	st.ex.For(len(cellEdges), func(i int) {
@@ -507,9 +500,8 @@ func (r *oocRun) borderTurn(s int) error {
 				continue // all points are core (Sample is rejected up front)
 			}
 			built := false
-			pts := st.cellPts(g)
-			orig := cells.PointsOf(g) // window-local store order; == pts here
-			for i, p := range pts {
+			orig := cells.PointsOf(g) // window-local store order; == rows here
+			for i, p := range cells.RowsOf(g) {
 				op := orig[i]
 				if st.coreFlags[op] {
 					continue

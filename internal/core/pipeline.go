@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -94,18 +95,6 @@ type Params struct {
 	// mostly the arena, not the kernel, under this flag.
 	ForceGenericKernel bool
 
-	// ForceIndirectLayout runs the pipeline in the original point order,
-	// indirecting through cells.Order, even when the cells carry a cell-major
-	// payload (grid.Cells.Payload). The contiguous path evaluates the same
-	// pairs with the same arithmetic in the same accumulation order, so
-	// results are bit-identical either way; the flag is the differential
-	// escape hatch for the layout-equivalence tests and for
-	// cmd/dbscanbench -exp hot's layout comparison, mirroring
-	// ForceGenericKernel. The incremental path sets it internally — its
-	// caches hold original-index core lists and trees across ticks, which a
-	// payload-row run would poison.
-	ForceIndirectLayout bool
-
 	// Timings, when non-nil, receives the wall-clock duration of each
 	// pipeline phase of the run (the observability seam RunStats is built
 	// on). Written once, at phase completion, by the run's own goroutine.
@@ -158,17 +147,14 @@ type pipeline struct {
 	eps   float64
 	eps2  float64
 	ex    *parallel.Pool // == p.Exec; the executor for every parallel phase
-	k     geom.Kernel    // dimension-resolved distance kernel over the active store
+	k     geom.Kernel    // dimension-resolved distance kernel over pts
 
-	// The active point store. When the cells carry a cell-major payload (and
-	// ForceIndirectLayout is off) the pipeline runs in payload-row space:
-	// pts is cells.PayloadPts(), every point index flowing through the
-	// phases (cell point lists, core lists, border candidates, tree indices)
-	// is a payload row, and per-point state keyed by original index
-	// (coreFlags, labels, Sample) is reached through origOf. Otherwise pts is
-	// cells.Pts and indices are original point indices (origOf is identity).
-	contig bool
-	pts    geom.Points
+	// The point store: cells.PayloadPts(). The pipeline runs in payload-row
+	// space — every point index flowing through the phases (cell point
+	// lists, core lists, border candidates, tree indices) is a payload row —
+	// and per-point state keyed by original index (coreFlags, labels,
+	// Sample) is reached through cells.Order.
+	pts geom.Points
 
 	arena *Arena      // == p.Arena (nil: no pooling)
 	rs    *runScratch // this run's checked-out scratch; returned by release
@@ -180,8 +166,8 @@ type pipeline struct {
 	phaseDur *time.Duration
 
 	coreFlags []bool
-	corePts   [][]int32 // per cell: indices of its core points
-	coreStore []int32   // flat backing of small-cell core lists (batch paths; nil incremental)
+	corePts   [][]int32 // per cell: payload rows of its core points
+	coreStore []int32   // flat backing of small-cell core lists
 	coreBBLo  []float64 // per cell: bounding box of its core points
 	coreBBHi  []float64
 	coreCells []int32 // cells with at least one core point
@@ -192,11 +178,6 @@ type pipeline struct {
 	// points (ClusterCore); built on first use, guarded by sync.Once.
 	allTrees  []lazyTree
 	coreTrees []lazyTree
-
-	// Pre-seeded trees from an Incremental cache (nil entries build lazily).
-	// Written before the run starts and read-only during it.
-	preAllTrees  []*quadtree.Tree
-	preCoreTrees []*quadtree.Tree
 
 	// Lazy per-cell USEC state (2D): core points sorted by x and by y, and
 	// the four directional envelopes.
@@ -213,6 +194,10 @@ type lazyTree struct {
 func validateParams(cells *grid.Cells, p *Params) error {
 	if cells.Neighbors == nil {
 		return fmt.Errorf("core: cells have no neighbor lists; call a ComputeNeighbors method first")
+	}
+	if len(cells.Payload) != len(cells.Order)*cells.Pts.D || len(cells.Rows) != len(cells.Order) {
+		return fmt.Errorf("core: cells carry no cell-major payload (%d floats and %d rows for %d points)",
+			len(cells.Payload), len(cells.Rows), len(cells.Order))
 	}
 	if p.MinPts < 1 {
 		return fmt.Errorf("core: MinPts must be >= 1, got %d", p.MinPts)
@@ -236,11 +221,7 @@ func validateParams(cells *grid.Cells, p *Params) error {
 // runScratch checked out of p.Arena (fresh when nil). Callers must pair it
 // with release.
 func newPipeline(cells *grid.Cells, p Params) *pipeline {
-	contig := cells.Payload != nil && !p.ForceIndirectLayout
-	pts := cells.Pts
-	if contig {
-		pts = cells.PayloadPts()
-	}
+	pts := cells.PayloadPts()
 	k := geom.NewKernel(pts)
 	if p.ForceGenericKernel {
 		k = geom.NewGenericKernel(pts)
@@ -248,27 +229,8 @@ func newPipeline(cells *grid.Cells, p Params) *pipeline {
 	return &pipeline{
 		cells: cells, p: p, eps: cells.Eps, eps2: cells.Eps * cells.Eps,
 		ex: p.Exec, k: k, arena: p.Arena, rs: p.Arena.getRun(),
-		contig: contig, pts: pts,
+		pts: pts,
 	}
-}
-
-// origOf maps an active-store point index to the original point index
-// (identity on the indirect path, cells.Order on the contiguous one).
-func (st *pipeline) origOf(p int32) int32 {
-	if st.contig {
-		return st.cells.Order[p]
-	}
-	return p
-}
-
-// cellPts returns cell g's point list in the active store's index space:
-// payload rows when contiguous, original indices otherwise. Both are views
-// into the cells; do not mutate.
-func (st *pipeline) cellPts(g int) []int32 {
-	if st.contig {
-		return st.cells.RowsOf(g)
-	}
-	return st.cells.PointsOf(g)
 }
 
 // release returns the run's scratch to the arena. The scratch keeps aliases
@@ -408,46 +370,27 @@ func (st *pipeline) collectCore() {
 }
 
 // collectCellCore derives cell g's core point list and core bounding box from
-// the core flags (the per-cell body shared by collectCore, the out-of-core
-// path, and the incremental path — one implementation, so the paths can never
-// desynchronize). All-core cells alias the cell's point list. Small cells
-// write into their disjoint region of the flat coreStore when the batch
-// scratch provides one; the incremental path (coreStore nil) counts the set
-// flags first and allocates exactly — its lists are cached across ticks and
-// must own their memory.
+// the core flags (the per-cell body shared by collectCore and the out-of-core
+// path — one implementation, so the paths can never desynchronize). All-core
+// cells alias the cell's row list; small cells write into their disjoint
+// region of the flat coreStore.
 func (st *pipeline) collectCellCore(g int) {
 	c := st.cells
 	d := c.Pts.D
-	pts := st.cellPts(g)
-	orig := c.PointsOf(g) // == pts on the indirect path
+	rows := c.RowsOf(g)
+	orig := c.PointsOf(g)
 	var core []int32
-	if st.p.Sample == nil && c.CellSize(g) >= st.p.MinPts {
+	if st.p.Sample == nil && len(rows) >= st.p.MinPts {
 		// Every point is core; alias the cell's slice. (Under a sample mask
 		// only the sampled points of a big cell are core, so the alias is
-		// wrong there and the flag-scan paths below run instead.)
-		core = pts
-	} else if st.coreStore != nil {
-		off := c.CellStart[g]
-		buf := st.coreStore[off : off : off+int32(len(pts))]
-		for i, p := range pts {
-			if st.coreFlags[orig[i]] {
-				buf = append(buf, p)
-			}
-		}
-		core = buf
+		// wrong there and the flag scan below runs instead.)
+		core = rows
 	} else {
-		cnt := 0
-		for _, p := range orig {
-			if st.coreFlags[p] {
-				cnt++
-			}
-		}
-		if cnt > 0 {
-			core = make([]int32, 0, cnt)
-			for i, p := range pts {
-				if st.coreFlags[orig[i]] {
-					core = append(core, p)
-				}
+		off := c.CellStart[g]
+		core = st.coreStore[off : off : off+int32(len(rows))]
+		for i, r := range rows {
+			if st.coreFlags[orig[i]] {
+				core = append(core, r)
 			}
 		}
 	}
@@ -521,16 +464,9 @@ func (st *pipeline) quadtreeRoot(g int) (lo []float64, side float64) {
 // allTree returns (building on first use) the quadtree over all points of
 // cell g, used by MarkQuadtree.
 func (st *pipeline) allTree(g int32) *quadtree.Tree {
-	if st.preAllTrees != nil {
-		if t := st.preAllTrees[g]; t != nil {
-			return t
-		}
-	}
 	lt := &st.allTrees[g]
 	lt.once.Do(func() {
-		pts := st.cellPts(int(g))
-		idx := make([]int32, len(pts))
-		copy(idx, pts)
+		idx := slices.Clone(st.cells.RowsOf(int(g)))
 		lo, side := st.quadtreeRoot(int(g))
 		lt.tree = quadtree.Build(st.ex, st.pts, idx, lo, side, -1)
 	})
@@ -541,16 +477,9 @@ func (st *pipeline) allTree(g int32) *quadtree.Tree {
 // of cell g. maxDepth depends on the graph strategy: exact for GraphQuadtree,
 // capped for GraphApprox.
 func (st *pipeline) coreTree(g int32) *quadtree.Tree {
-	if st.preCoreTrees != nil {
-		if t := st.preCoreTrees[g]; t != nil {
-			return t
-		}
-	}
 	lt := &st.coreTrees[g]
 	lt.once.Do(func() {
-		src := st.corePts[g]
-		idx := make([]int32, len(src))
-		copy(idx, src)
+		idx := slices.Clone(st.corePts[g])
 		lo, side := st.quadtreeRoot(int(g))
 		maxDepth := -1
 		if st.p.Graph == GraphApprox {
@@ -561,7 +490,7 @@ func (st *pipeline) coreTree(g int32) *quadtree.Tree {
 	return lt.tree
 }
 
-// at returns the coordinate row of active-store point p.
+// at returns the coordinate row of payload row p.
 func (st *pipeline) at(p int32) []float64 { return st.pts.At(int(p)) }
 
 // distSq between two points by index, through the run's kernel.

@@ -22,8 +22,8 @@ import (
 //     array); removing a point frees its slot for reuse;
 //   - every non-empty cell occupies a cell slot; the cell keeps its slot for
 //     as long as it has points, so per-cell caches held by downstream phases
-//     (bounding boxes, neighbor lists, core flags, quadtrees, cell-graph
-//     edges) can be keyed by slot and survive unrelated mutations.
+//     (bounding boxes, neighbor lists, core flags, cell-graph edges) can be
+//     keyed by slot and survive unrelated mutations.
 //
 // The dirty-set discipline: a mutated cell (point inserted or removed,
 // created, or destroyed) is dirty. Snapshot expands the dirty set to the
@@ -31,8 +31,8 @@ import (
 // cube — because those are exactly the cells whose points' eps-neighborhoods
 // (and hence core counts, core point lists, and incident cell-graph edges)
 // may have changed. Untouched cells keep their point lists, bounding boxes,
-// and neighbor lists by construction; internal/core keeps their core flags,
-// quadtrees, and edges on the same contract.
+// and neighbor lists by construction; internal/core keeps their core flags
+// and edges on the same contract.
 //
 // Dynamic is not safe for concurrent use; the public streaming API
 // serializes access.
@@ -203,8 +203,10 @@ func (dy *Dynamic) Remove(p int32) {
 // empty cells (zero points, no neighbors) that every downstream phase skips
 // naturally.
 //
-// The returned Cells aliases the Dynamic's point storage; it is valid until
-// the next mutation. Calling Snapshot with no mutations since the last one
+// The cell-major payload is gathered in the same per-cell pass that lays
+// out Order — after a restore too — so the pipeline reads the snapshot the
+// way it reads a batch build. The returned Cells aliases the Dynamic's point
+// storage (Pts); it is valid until the next mutation. Calling Snapshot with no mutations since the last one
 // returns the same Cells and an empty DirtyInfo.
 func (dy *Dynamic) Snapshot(ex *parallel.Pool) (*Cells, *DirtyInfo, error) {
 	numSlots := len(dy.cellPts)
@@ -255,6 +257,8 @@ func (dy *Dynamic) Snapshot(ex *parallel.Pool) (*Cells, *DirtyInfo, error) {
 		Anchor:    anchor,
 		CellStart: make([]int32, numSlots+1),
 		Order:     make([]int32, dy.numLive),
+		Payload:   make([]float64, dy.numLive*d),
+		Rows:      make([]int32, dy.numLive),
 		CellOf:    make([]int32, nCap),
 		BBLo:      make([]float64, numSlots*d),
 		BBHi:      make([]float64, numSlots*d),
@@ -282,9 +286,13 @@ func (dy *Dynamic) Snapshot(ex *parallel.Pool) (*Cells, *DirtyInfo, error) {
 		if !dy.cellAlive[g] {
 			return
 		}
-		copy(c.Order[c.CellStart[g]:c.CellStart[g+1]], dy.cellPts[g])
-		for _, p := range dy.cellPts[g] {
+		lo := int(c.CellStart[g])
+		copy(c.Order[lo:c.CellStart[g+1]], dy.cellPts[g])
+		for i, p := range dy.cellPts[g] {
 			c.CellOf[p] = int32(g)
+			r := lo + i
+			c.Rows[r] = int32(r)
+			copy(c.Payload[r*d:(r+1)*d], dy.PointAt(p))
 		}
 		c.table.insert(int32(g))
 	})

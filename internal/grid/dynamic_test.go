@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pdbscan/internal/geom"
@@ -10,7 +11,8 @@ import (
 // snapshotMatchesBuildGrid checks that a Dynamic snapshot partitions its live
 // points into exactly the cells BuildGrid produces for the same point set:
 // same groups of points, same absolute lattice coordinates, same bounding
-// boxes, and equivalent neighbor relations.
+// boxes, and equivalent neighbor relations. The snapshot's cell-major
+// payload must hold each cell's points in its row range.
 func snapshotMatchesBuildGrid(t *testing.T, dy *Dynamic, live []int32) {
 	t.Helper()
 	snap, _, err := dy.Snapshot(nil)
@@ -70,9 +72,13 @@ func snapshotMatchesBuildGrid(t *testing.T, dy *Dynamic, live []int32) {
 		if snap.CellSize(g) != len(ci.pts) {
 			t.Fatalf("cell %d: %d points, reference has %d", g, snap.CellSize(g), len(ci.pts))
 		}
-		for _, p := range snap.PointsOf(g) {
+		for i, p := range snap.PointsOf(g) {
 			if !ci.pts[p] {
 				t.Fatalf("cell %d contains unexpected point slot %d", g, p)
+			}
+			r := int(snap.CellStart[g]) + i
+			if snap.Rows[r] != int32(r) || !slices.Equal(snap.PayloadPts().At(r), dy.PointAt(p)) {
+				t.Fatalf("cell %d: payload row %d does not hold point slot %d", g, r, p)
 			}
 		}
 		lo, hi := snap.CellBox(g)
@@ -139,6 +145,11 @@ func TestDynamicMatchesBuildGridUnderMutations(t *testing.T) {
 			}
 			snapshotMatchesBuildGrid(t, dy, live)
 		}
+		restored, err := RestoreDynamic(dy.ExportState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapshotMatchesBuildGrid(t, restored, live)
 	}
 }
 

@@ -63,16 +63,16 @@ type Cells struct {
 	// Payload is the cell-major copy of the point coordinates: payload row r
 	// holds Pts row Order[r], so cell g owns the contiguous payload row range
 	// [CellStart[g], CellStart[g+1]) — the same layout internal/cellstore
-	// writes to disk. The batch constructions (BuildGrid, BuildBox2D) fill it
-	// eagerly; Dynamic.Snapshot leaves it nil (the incremental pipeline runs
-	// the indirect layout). Nil means "not materialized":
-	// the clustering pipeline falls back to indirecting through Order.
+	// writes to disk. Every constructor fills it (BuildGrid and BuildBox2D
+	// gather it, BuildCellMajor aliases its cell-major input, and
+	// Dynamic.Snapshot gathers it in the loop that lays out Order), and the
+	// clustering pipeline reads coordinates only from it.
 	Payload []float64
 
 	// Rows is the identity permutation over payload rows ([0, len(Order)));
 	// Rows[CellStart[g]:CellStart[g+1]] is cell g's point list in payload-row
-	// space, ready to alias wherever the indirect path would use
-	// Order[CellStart[g]:CellStart[g+1]]. Built alongside Payload.
+	// space, ready to alias wherever a phase needs an index list. Built
+	// alongside Payload.
 	Rows []int32
 }
 
@@ -90,25 +90,21 @@ func (c *Cells) PointsOf(g int) []int32 {
 }
 
 // RowsOf returns cell g's point list in payload-row space (a view; do not
-// mutate). Only valid after EnsurePayload.
+// mutate).
 func (c *Cells) RowsOf(g int) []int32 {
 	return c.Rows[c.CellStart[g]:c.CellStart[g+1]]
 }
 
 // PayloadPts views the cell-major payload as a point store: point r of the
-// view is Pts row Order[r]. Only valid after EnsurePayload.
+// view is Pts row Order[r].
 func (c *Cells) PayloadPts() geom.Points {
 	return geom.Points{N: len(c.Order), D: c.Pts.D, Data: c.Payload}
 }
 
-// EnsurePayload materializes the cell-major payload (and the Rows identity)
-// if it is not already present. Idempotent; not safe to call concurrently
-// with itself on the same Cells — the construction paths call it from a
-// single goroutine before handing the structure to parallel phases.
-func (c *Cells) EnsurePayload(ex *parallel.Pool) {
-	if c.Payload != nil {
-		return
-	}
+// gatherPayload materializes the cell-major payload and the Rows identity
+// from Order. The batch constructions call it once, before handing the
+// structure to parallel phases.
+func (c *Cells) gatherPayload(ex *parallel.Pool) {
 	n, d := len(c.Order), c.Pts.D
 	payload := make([]float64, n*d)
 	rows := make([]int32, n)
@@ -289,7 +285,7 @@ func BuildGrid(ex *parallel.Pool, pts geom.Points, eps float64) *Cells {
 		}
 		c.table.insert(int32(g))
 	})
-	c.EnsurePayload(ex)
+	c.gatherPayload(ex)
 	return c
 }
 

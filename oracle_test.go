@@ -243,21 +243,30 @@ func oracleCheck(t *testing.T, rows [][]float64, cfg Config, ctx string) {
 	if err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
+	rho := 0.0 // exact
 	if cfg.Method == MethodApprox || cfg.Method == MethodApproxQt {
-		rho := cfg.Rho
+		rho = cfg.Rho
 		if rho == 0 {
 			rho = 0.01
 		}
-		if err := metrics.ValidApproxResult(pts, cfg.Eps, rho, cfg.MinPts,
-			res.Core, res.Labels, res.Border); err != nil {
-			t.Fatalf("%s: approx validity: %v", ctx, err)
-		}
-		return
 	}
-	ref := metrics.BruteDBSCAN(pts, cfg.Eps, cfg.MinPts)
-	if err := metrics.SameDBSCANResult(ref, res.Core, res.Labels, res.Border, res.NumClusters); err != nil {
+	if err := oracleVerdict(pts, cfg.Eps, cfg.MinPts, rho, res.Core, res.Labels, res.Border, res.NumClusters); err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
+}
+
+// oracleVerdict holds one clustering to the brute-force reference: with
+// rho == 0 it must be the exact DBSCAN result; with rho > 0 it must be a
+// valid Gan–Tao rho-approximate one.
+func oracleVerdict(pts geom.Points, eps float64, minPts int, rho float64,
+	coreFlags []bool, labels []int32, border map[int32][]int32, numClusters int) error {
+	if rho > 0 {
+		if err := metrics.ValidApproxResult(pts, eps, rho, minPts, coreFlags, labels, border); err != nil {
+			return fmt.Errorf("approx validity: %w", err)
+		}
+		return nil
+	}
+	return metrics.SameDBSCANResult(metrics.BruteDBSCAN(pts, eps, minPts), coreFlags, labels, border, numClusters)
 }
 
 // TestOracleConformance is the full matrix: every method × {2, 3, 5}

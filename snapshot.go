@@ -14,20 +14,23 @@ import (
 // checksummed field).
 const snapMagic = "PDBSNAP1"
 
-const snapVersion = 1
+// snapVersion is the stream format Snapshot writes. Version 1 streams also
+// carried per-cell core lists and their bounding boxes; RestoreStreaming
+// still reads them and discards those fields, which every run re-derives
+// from the core flags.
+const snapVersion = 2
 
 // Snapshot serializes the StreamingClusterer's full warm state to w: the
 // point set with its id assignment, the dynamic grid (including the pending
 // dirty set — Snapshot never consumes it, so taking a snapshot does not
-// perturb the next Run), and the incremental caches (core flags, per-cell
-// core lists, cell-graph edge booleans; quadtrees are derived state and are
-// rebuilt lazily after restore). The stream is checksummed; RestoreStreaming
+// perturb the next Run), and the incremental caches (core flags and
+// cell-graph edge booleans). The stream is checksummed; RestoreStreaming
 // rejects any corruption.
 //
 // A restored clusterer's next Run recomputes only what the pending mutations
 // dirtied — same as if the process had never exited — plus cheap grid-side
-// geometry (bounding boxes, neighbor lists) that is cheaper to rebuild than
-// to ship.
+// state (bounding boxes, neighbor lists, the cell-major payload) that is
+// cheaper to rebuild than to ship.
 func (s *StreamingClusterer) Snapshot(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -56,10 +59,6 @@ func (s *StreamingClusterer) Snapshot(w io.Writer) error {
 	enc.Bool(is.Valid)
 	enc.I64(int64(is.MinPts))
 	enc.Bools(is.CoreFlags)
-	enc.I32s(is.CoreOff)
-	enc.I32s(is.CoreIdx)
-	enc.F64s(is.CoreBBLo)
-	enc.F64s(is.CoreBBHi)
 	enc.I32s(is.EdgeOff)
 	enc.I32s(is.EdgeH)
 	enc.Bools(is.EdgeConn)
@@ -72,18 +71,19 @@ func (s *StreamingClusterer) Snapshot(w io.Writer) error {
 // restored clusterer is fully warm: point ids are preserved (LabelOf keys
 // keep working, new Inserts continue the id sequence), pending mutations are
 // still pending, and the incremental caches carry over — the next Run costs
-// what it would have cost without the restart, up to a lazy quadtree rebuild
-// and one pass of grid-side geometry.
+// what it would have cost without the restart, up to one pass of grid-side
+// geometry. Both stream versions are accepted (see snapVersion).
 //
 // The stream is validated structurally and by checksum; a truncated,
-// bit-flipped, or wrong-version stream returns an error.
+// bit-flipped, or unknown-version stream returns an error.
 func RestoreStreaming(r io.Reader) (*StreamingClusterer, error) {
 	dec, err := cellstore.NewDecoder(r, snapMagic)
 	if err != nil {
 		return nil, err
 	}
-	if v := dec.U64(); dec.Err() == nil && v != snapVersion {
-		return nil, fmt.Errorf("pdbscan: unsupported snapshot version %d (want %d)", v, snapVersion)
+	version := dec.U64()
+	if dec.Err() == nil && (version < 1 || version > snapVersion) {
+		return nil, fmt.Errorf("pdbscan: unsupported snapshot version %d (want 1..%d)", version, snapVersion)
 	}
 	dims := int(dec.U64())
 	eps := dec.F64()
@@ -111,10 +111,14 @@ func RestoreStreaming(r io.Reader) (*StreamingClusterer, error) {
 	is.Valid = dec.Bool()
 	is.MinPts = int(dec.I64())
 	is.CoreFlags = dec.Bools()
-	is.CoreOff = dec.I32s()
-	is.CoreIdx = dec.I32s()
-	is.CoreBBLo = dec.F64s()
-	is.CoreBBHi = dec.F64s()
+	if version == 1 {
+		// Per-cell core offsets, indices and bounding boxes: covered by the
+		// checksum, otherwise unused.
+		dec.I32s()
+		dec.I32s()
+		dec.F64s()
+		dec.F64s()
+	}
 	is.EdgeOff = dec.I32s()
 	is.EdgeH = dec.I32s()
 	is.EdgeConn = dec.Bools()

@@ -3,6 +3,7 @@ package pdbscan
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -183,7 +184,8 @@ func TestSnapshotEmptyAndFresh(t *testing.T) {
 }
 
 // TestSnapshotCorruption: damaged streams must error out, never panic or
-// restore silently wrong state.
+// restore silently wrong state. It covers a fresh stream and the version-1
+// fixture, whose discarded fields the checksum still covers.
 func TestSnapshotCorruption(t *testing.T) {
 	s, err := NewStreamingClusterer(2, 3.0)
 	if err != nil {
@@ -197,26 +199,73 @@ func TestSnapshotCorruption(t *testing.T) {
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	valid := buf.Bytes()
-	if _, err := RestoreStreaming(bytes.NewReader(valid)); err != nil {
-		t.Fatalf("valid snapshot rejected: %v", err)
+	v1, err := os.ReadFile(snapshotV1Fixture)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for name, valid := range map[string][]byte{"current": buf.Bytes(), "v1": v1} {
+		if _, err := RestoreStreaming(bytes.NewReader(valid)); err != nil {
+			t.Fatalf("%s: valid snapshot rejected: %v", name, err)
+		}
+		for _, cut := range []int{0, 4, 8, 16, len(valid) / 2, len(valid) - 1} {
+			if _, err := RestoreStreaming(bytes.NewReader(valid[:cut])); err == nil {
+				t.Errorf("%s: truncation to %d bytes accepted", name, cut)
+			}
+		}
+		rng := rand.New(rand.NewSource(2))
+		for trial := 0; trial < 100; trial++ {
+			bad := append([]byte(nil), valid...)
+			pos := rng.Intn(len(bad))
+			bad[pos] ^= 1 << uint(rng.Intn(8))
+			if bad[pos] == valid[pos] {
+				continue
+			}
+			if _, err := RestoreStreaming(bytes.NewReader(bad)); err == nil {
+				t.Fatalf("%s: bit flip at byte %d accepted", name, pos)
+			}
+		}
+	}
+}
 
-	for _, cut := range []int{0, 4, 8, 16, len(valid) / 2, len(valid) - 1} {
-		if _, err := RestoreStreaming(bytes.NewReader(valid[:cut])); err == nil {
-			t.Errorf("truncation to %d bytes accepted", cut)
-		}
+// snapshotV1Fixture is a version-1 stream (the format that still carried
+// per-cell core lists and bounding boxes): 300 2D blob points at eps 3, one
+// completed Run at MinPts 5, then 40 removals and 40 inserts left pending.
+const snapshotV1Fixture = "testdata/snapshot/streaming_v1.bin"
+
+// TestSnapshotRestoresV1: a version-1 stream restores (its dropped fields
+// are read and discarded), and the restored clusterer's next Run — an
+// incremental tick over the pending mutations — is the clustering Cluster
+// computes from scratch on the same points.
+func TestSnapshotRestoresV1(t *testing.T) {
+	blob, err := os.ReadFile(snapshotV1Fixture)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 100; trial++ {
-		bad := append([]byte(nil), valid...)
-		pos := rng.Intn(len(bad))
-		bad[pos] ^= 1 << uint(rng.Intn(8))
-		if bad[pos] == valid[pos] {
-			continue
+	s, err := RestoreStreaming(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("v1 snapshot rejected: %v", err)
+	}
+	ids := s.IDs()
+	rows := make([][]float64, len(ids))
+	for k, id := range ids {
+		row, ok := s.Point(id)
+		if !ok {
+			t.Fatalf("id %d listed but not found", id)
 		}
-		if _, err := RestoreStreaming(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("bit flip at byte %d accepted", pos)
-		}
+		rows[k] = row
+	}
+	got, err := s.Run(Config{MinPts: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.LastRunStats(); st.Full {
+		t.Fatal("restored v1 clusterer recomputed everything; its caches should carry over")
+	}
+	want, err := Cluster(rows, Config{Eps: s.Eps(), MinPts: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := equivalentResults(&got.Result, want); err != nil {
+		t.Fatalf("restored v1 tick vs Cluster: %v", err)
 	}
 }

@@ -14,9 +14,10 @@ import (
 // StreamingClusterer maintains a point set under insertions and removals and
 // re-clusters it incrementally: each Run touches only the cells whose
 // eps-neighborhood changed since the previous Run, reusing everything else —
-// cell point lists, bounding boxes, neighbor lists, core flags, per-cell
-// quadtrees, and cell-graph edge booleans. The per-tick cost is proportional
-// to the dirtied region (plus cheap linear bookkeeping), not to the distance
+// cell point lists, bounding boxes, neighbor lists, core flags, and
+// cell-graph edge booleans. The per-tick cost is proportional to the
+// dirtied region (plus cheap linear bookkeeping: the snapshot's cell-major
+// payload gather, the core-list collect, labels), not to the distance
 // work of a full re-clustering, which is what makes sliding-window workloads
 // (lidar frames, live geodata, telemetry) affordable at high tick rates.
 //
@@ -342,9 +343,10 @@ func (s *StreamingClusterer) RunContext(ctx context.Context, cfg Config) (res *S
 	dirtyCells, full := dirty.NumAffected, dirty.Full || s.inc.Fresh()
 	// Run the incremental pipeline even when the stream is empty: every
 	// snapshot's DirtyInfo must reach the caches exactly once, and an empty
-	// tick is how dying cells' cached core lists get retired (skipping it
-	// would leak them into the next non-empty tick as phantom clusters —
-	// pinned by the FuzzStreamingOps corpus).
+	// tick is how dying cells' cached edge booleans and freed slots' core
+	// flags get retired (skipping it would leak them into the next
+	// non-empty tick as phantom clusters — pinned by the FuzzStreamingOps
+	// corpus).
 	cres, err := core.RunIncremental(cells, params, s.inc, dirty)
 	if err != nil {
 		// The snapshot's dirty info is spent but the caches never absorbed
