@@ -1,166 +1,135 @@
-// Command benchgate checks a freshly generated BENCH_hot.json against the
-// committed baseline and the hot-path acceptance floors, emitting GitHub
-// Actions annotations (::warning / ::error lines) when the benchmarks
-// regress. It compares only host-relative ratio metrics — the headline
-// speedup and allocation ratio — never absolute ns/op, which is not
-// comparable across runner hardware.
+// Command benchgate checks bench reports (BENCH_*.json, the
+// internal/benchreport envelope cmd/dbscanbench writes) against the
+// acceptance rules of each experiment and emits GitHub Actions annotations
+// (::notice / ::warning / ::error lines).
 //
 // Usage:
 //
-//	benchgate -fresh BENCH_hot.json [-baseline BENCH_hot.json] [-scale BENCH_scale.json] [-serve BENCH_serve.json] [-emst BENCH_emst.json] [-api BENCH_api.json] [-ooc BENCH_ooc.json] [-strict]
+//	benchgate [-baseline BENCH_hot.baseline.json] [-strict] BENCH_*.json
 //
-// A metric regresses when it drops more than 10% below the committed
-// baseline, or below the absolute floor the optimization was accepted at
-// (1.3x clustering-phase speedup, 5x allocation reduction). A baseline whose
-// recorded thread count differs from the fresh report's is refused (with a
-// ::notice): ratios measured at different worker counts are not comparable,
-// so only the absolute floors are checked. With -scale it gates the scaling
-// report: the thread sweep must cover at least two worker counts, the top
-// self-relative speedup must clear its 1.5x floor (skipped with a ::notice
-// on single-CPU runners, where the floor is physically unreachable), and per
-// dataset the sampled-core (DBSCAN++) rows at frac <= 0.1 must include one
-// with ARI >= 0.95 vs the exact run (hard error otherwise) whose
-// clustering-phase speedup clears the 2x floor. With -serve it
-// additionally gates the serving-path report: mid-run cancellation latency
-// must stay under its 50ms acceptance floor, every cancelled run's recovery
-// must have been label-permutation-equal to the baseline, and the Engine's
-// sampled worker usage must never have exceeded its budget (the last two are
-// hard errors — they are correctness invariants, not performance). With
-// -emst it gates the EMST-hierarchy report: the 16-eps sweep must stay at
-// least 5x faster than independent runs (a host-relative ratio), and every
-// cut must have been label-permutation-equal to its from-scratch run
-// (queries_equal=false is a hard error). With -api it gates the HTTP load
-// report: the engine's sampled worker usage must never have exceeded its
-// budget, every 429/503 must have carried Retry-After, and no request may
-// have failed outside the designed backpressure statuses (all three hard
-// errors); session count and queue-wait p99 are gated softly, since absolute
-// latency is host-dependent. With -ooc it gates the out-of-core report: the
-// spill run's labels must be permutation-equal to the in-RAM run, the dataset
-// must be at least 4x the residency budget (otherwise the run never left
-// RAM-scale and proves nothing), and the peak mapped window must stay within
-// 1.25x the budget (all three hard errors — they are the acceptance criteria
-// of the out-of-core mode); the spill-vs-in-RAM wall-clock ratio is gated
-// softly at 8x, since mapping overhead is host-dependent. Warnings annotate
-// the PR; -strict turns them into errors and a non-zero exit.
+// The rules are one table: each names an experiment, a metric, a floor or a
+// ceiling, a severity, and optionally that the bound is a fraction of the
+// baseline report's value of the metric or a condition under which it is
+// skipped (with a ::notice). Every report passed on the command line is
+// checked against the rules of its experiment. Performance bounds are
+// host-relative ratios or generous latency budgets, never absolute ns/op, and
+// carry a 10% grace below the value the optimization was accepted at. Soft
+// rules annotate with ::warning (::error and a non-zero exit under -strict);
+// hard rules are correctness invariants and always fail.
 //
-// A report file that simply does not exist — a fresh checkout that has not
-// generated it yet, a CI job whose bench step was skipped — produces a
-// ::notice and skips that gate; only files that exist but cannot be parsed
-// are hard errors.
+// A rule reads every metric whose key is its metric name or starts with that
+// name and a dot (per-dataset keys such as sampled_best_speedup.ss-varden-2d).
+// A report that lacks a metric one of its rules reads is a hard error, so a
+// producer that stops emitting a gated value cannot pass silently. A report
+// file that does not exist produces a ::notice and is skipped; a file that
+// exists but is not an envelope is an error. A baseline recorded at a different
+// thread count than the fresh report is refused with a ::notice: ratios
+// measured at different worker counts are not comparable.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
+	"sort"
+	"strings"
 	"time"
+
+	"pdbscan/internal/benchreport"
 )
 
-// hotHeadline is the subset of the BENCH_hot.json schema the gate reads.
-type hotHeadline struct {
-	Threads               int     `json:"threads"`
-	Headline2DGridSpeedup float64 `json:"headline_2d_grid_speedup"`
-	HeadlineAllocRatio    float64 `json:"headline_alloc_ratio"`
+// grace is the regression allowance: a ratio more than 10% below the value it
+// was accepted at (or below the committed baseline) regresses.
+const grace = 0.9
+
+// rule is one acceptance check on one metric of one experiment's reports.
+type rule struct {
+	experiment string
+	metric     string
+	bound      float64
+	ceiling    bool // the metric must not exceed bound; otherwise it must reach it
+	hard       bool // a correctness invariant: fails regardless of -strict
+	// vsBaseline makes the bound a fraction of the baseline report's value of
+	// the metric; the rule is skipped when no baseline of the experiment was
+	// given.
+	vsBaseline bool
+	// skip, when set, returns a non-empty reason to skip the rule.
+	skip func(fresh, base *benchreport.Report) string
+	what string // what the bound is, for the annotation
 }
 
-// emstHeadline is the subset of the BENCH_emst.json schema the gate reads.
-type emstHeadline struct {
-	N                 int     `json:"n"`
-	AmortizationRatio float64 `json:"amortization_ratio"`
-	QueriesEqual      bool    `json:"queries_equal"`
+// rules is every gate. Booleans are metrics of 0 or 1 with a floor of 1.
+var rules = []rule{
+	// Clustering-phase hot path (BENCH_hot.json): speedup of the specialized
+	// kernels + arena over the generic fallback, and allocations vs the seed.
+	{experiment: "hot", metric: "headline_2d_grid_speedup", bound: 1.3 * grace, what: "1.3x acceptance floor less 10%"},
+	{experiment: "hot", metric: "headline_alloc_ratio", bound: 5 * grace, what: "5x acceptance floor less 10%"},
+	{experiment: "hot", metric: "headline_2d_grid_speedup", bound: grace, vsBaseline: true, skip: threadsDiffer, what: "10% below the committed baseline"},
+	{experiment: "hot", metric: "headline_alloc_ratio", bound: grace, vsBaseline: true, skip: threadsDiffer, what: "10% below the committed baseline"},
+
+	// Multi-core scaling and sampled-core (DBSCAN++) accuracy/speedup.
+	{experiment: "scale", metric: "thread_counts", bound: 2, hard: true, what: "two swept worker counts"},
+	{experiment: "scale", metric: "top_self_speedup", bound: 1.5 * grace, skip: singleCPU, what: "1.5x self-relative scaling floor less 10%"},
+	{experiment: "scale", metric: "sampled_rows", bound: 1, hard: true, what: "one sampled-core row at frac <= 0.1"},
+	{experiment: "scale", metric: "sampled_accurate_rows", bound: 1, hard: true, what: "one sampled-core row with ARI >= 0.95 vs exact at frac <= 0.1"},
+	{experiment: "scale", metric: "sampled_best_speedup", bound: 2 * grace, what: "2x sampled-core speedup floor less 10%"},
+
+	// Cancellable serving path: recovery and budget are invariants; the
+	// cancellation latency is an absolute budget.
+	{experiment: "serve", metric: "recovered_equal", bound: 1, hard: true, what: "every run after a cancelled run equal to the baseline"},
+	{experiment: "serve", metric: "budget_conformant", bound: 1, hard: true, what: "engine worker usage within the shared budget"},
+	{experiment: "serve", metric: "cancel_latency_max_ns", bound: float64(50 * time.Millisecond), ceiling: true, skip: noMidRunCancel, what: "cancellation latency budget"},
+
+	// HTTP load: the serving contract is hard; latency is host-dependent, so
+	// its ceilings and the load floor are soft.
+	{experiment: "api", metric: "budget_conformant", bound: 1, hard: true, what: "engine worker usage within the shared budget under HTTP load"},
+	{experiment: "api", metric: "retry_after_always", bound: 1, hard: true, what: "Retry-After on every 429/503"},
+	{experiment: "api", metric: "errors_other", bound: 0, ceiling: true, hard: true, what: "no failure outside the designed 429/503 backpressure"},
+	{experiment: "api", metric: "drained_cleanly", bound: 1, hard: true, what: "graceful drain completed"},
+	{experiment: "api", metric: "sessions", bound: 200, what: "200-session load floor"},
+	{experiment: "api", metric: "queue_p99_ns", bound: float64(5 * time.Second), ceiling: true, what: "queue-wait p99 ceiling"},
+	{experiment: "api", metric: "latency_p99_ns", bound: float64(30 * time.Second), ceiling: true, what: "end-to-end p99 ceiling"},
+
+	// EMST hierarchy: every cut equals its from-scratch run; the sweep
+	// amortizes one build over 16 cuts.
+	{experiment: "emst", metric: "queries_equal", bound: 1, hard: true, what: "every cut equal to its from-scratch run"},
+	{experiment: "emst", metric: "amortization_ratio", bound: 5 * grace, what: "5x amortization floor less 10%"},
+
+	// Out-of-core: the acceptance criteria of the spill mode are hard; the
+	// spill-vs-in-RAM wall ratio is host-dependent and soft.
+	{experiment: "ooc", metric: "labels_perm_equal", bound: 1, hard: true, what: "spill labels permutation-equal to the in-RAM run"},
+	{experiment: "ooc", metric: "dataset_budget_ratio", bound: 4, hard: true, what: "dataset at least 4x the residency budget"},
+	{experiment: "ooc", metric: "peak_window_ratio", bound: 1.25, ceiling: true, hard: true, what: "peak mapped window within 1.25x the residency budget"},
+	{experiment: "ooc", metric: "wall_ratio", bound: 8, ceiling: true, what: "8x spill-vs-in-RAM wall ceiling"},
 }
 
-// apiHeadline is the subset of the BENCH_api.json schema the gate reads.
-type apiHeadline struct {
-	Sessions         int     `json:"sessions"`
-	Requests         int64   `json:"requests"`
-	RunsCompleted    int64   `json:"runs_completed"`
-	Rate429          float64 `json:"rate_429"`
-	RetryAfterAlways bool    `json:"retry_after_always"`
-	ErrorsOther      int64   `json:"errors_other"`
-	LatencyP99NS     int64   `json:"latency_p99_ns"`
-	QueueP99NS       int64   `json:"queue_p99_ns"`
-	BudgetConformant bool    `json:"budget_conformant"`
-	DrainedCleanly   bool    `json:"drained_cleanly"`
+func threadsDiffer(fresh, base *benchreport.Report) string {
+	if base.Host.Threads != fresh.Host.Threads {
+		return fmt.Sprintf("baseline recorded at threads=%d but fresh report at threads=%d; thread-mismatched baselines are not comparable",
+			base.Host.Threads, fresh.Host.Threads)
+	}
+	return ""
 }
 
-// scaleHeadline is the subset of the BENCH_scale.json schema the gate reads.
-type scaleHeadline struct {
-	NumCPU         int               `json:"num_cpu"`
-	ThreadSweep    []int             `json:"thread_sweep"`
-	TopSelfSpeedup float64           `json:"top_self_speedup"`
-	Sampled        []sampledHeadline `json:"sampled"`
+func singleCPU(fresh, _ *benchreport.Report) string {
+	if fresh.Host.NumCPU <= 1 {
+		return fmt.Sprintf("runner has %d CPU; the self-relative scaling floor is not applicable", fresh.Host.NumCPU)
+	}
+	return ""
 }
 
-// sampledHeadline is one sampled-core row of BENCH_scale.json.
-type sampledHeadline struct {
-	Dataset string  `json:"dataset"`
-	Sampler string  `json:"sampler"`
-	Frac    float64 `json:"frac"`
-	Speedup float64 `json:"speedup"`
-	ARI     float64 `json:"ari"`
+func noMidRunCancel(fresh, _ *benchreport.Report) string {
+	if n, ok := fresh.Metrics["cancelled_mid_cluster"]; ok && n == 0 {
+		return "no trial was cancelled mid-run; latency budget not exercised"
+	}
+	return ""
 }
-
-// oocHeadline is the subset of the BENCH_ooc.json schema the gate reads.
-type oocHeadline struct {
-	N                 int   `json:"n"`
-	DatasetBytes      int64 `json:"dataset_bytes"`
-	BudgetBytes       int64 `json:"budget_bytes"`
-	InRAMWallNS       int64 `json:"in_ram_wall_ns"`
-	OOCWallNS         int64 `json:"ooc_wall_ns"`
-	PeakResidentBytes int64 `json:"peak_resident_bytes"`
-	LabelsPermEqual   bool  `json:"labels_perm_equal"`
-}
-
-// serveHeadline is the subset of the BENCH_serve.json schema the gate reads.
-type serveHeadline struct {
-	N                   int   `json:"n"`
-	CancelLatencyMaxNS  int64 `json:"cancel_latency_max_ns"`
-	CancelledMidCluster int   `json:"cancelled_mid_cluster"`
-	RecoveredEqual      bool  `json:"recovered_equal"`
-	BudgetConformant    bool  `json:"budget_conformant"`
-}
-
-// Acceptance floors of the hot-path optimization, with the 10% regression
-// grace applied by the caller; of the serving path (cancellation latency,
-// absolute — it is a latency budget, not a host-relative ratio); and of the
-// EMST hierarchy (sweep amortization over independent runs, a ratio).
-const (
-	floorSpeedup          = 1.3
-	floorAllocRatio       = 5.0
-	grace                 = 0.9 // >10% below a reference counts as a regression
-	floorCancelLatency    = 50 * time.Millisecond
-	floorEmstAmortization = 5.0
-	// Scaling gate: self-relative speedup at the top of the thread sweep
-	// (skipped on single-CPU runners — one hardware CPU cannot speed itself
-	// up) and the sampled-core mode's accuracy/speedup acceptance: at a
-	// sample fraction <= 0.1 there must be a configuration per dataset that
-	// keeps ARI >= 0.95 vs exact (hard — an approximation answering a
-	// different question is not a result) while clustering >= 2x faster
-	// (soft, with the usual grace).
-	floorScaleSpeedup   = 1.5
-	floorSampledSpeedup = 2.0
-	floorSampledARI     = 0.95
-	ceilSampledFrac     = 0.1
-	// API load gate: soft ceilings only — absolute latency depends on the
-	// runner, so the hard gates are the boolean invariants.
-	floorAPISessions = 200
-	ceilAPIQueueP99  = 5 * time.Second
-	ceilAPIE2EP99    = 30 * time.Second
-	// Out-of-core gate: the dataset must dwarf the residency budget (else the
-	// run never exercised spilling), the peak mapped window may overshoot the
-	// budget only by the final halo slack the scheduler is allowed, and the
-	// wall-clock cost of running from disk is softly bounded relative to the
-	// in-RAM run on the same host.
-	floorOocDatasetRatio = 4.0
-	ceilOocPeakRatio     = 1.25
-	ceilOocWallRatio     = 8.0
-)
 
 // gate accumulates the run's verdict: soft regressions (warnings, errors
-// under -strict) and hard failures (correctness invariants, always errors).
+// under -strict) and hard failures (always errors).
 type gate struct {
 	out       io.Writer // annotations and verdict lines
 	strict    bool
@@ -182,396 +151,130 @@ func (g *gate) fail(format string, args ...any) {
 	fmt.Fprintf(g.out, "::error ::"+format+"\n", args...)
 }
 
-// check flags a ratio metric that dropped more than the grace below its
-// reference (an acceptance floor or the committed baseline).
-func (g *gate) check(metric string, got, ref float64, refName string) {
-	if got >= ref*grace {
-		return
+func (g *gate) notice(format string, args ...any) {
+	fmt.Fprintf(g.out, "::notice ::"+format+"\n", args...)
+}
+
+// check applies every rule of r's experiment to r. base is the baseline
+// report, or nil; it is used only by rules of its own experiment.
+func (g *gate) check(r, base *benchreport.Report) {
+	if base != nil && base.Experiment != r.Experiment {
+		base = nil
 	}
-	g.warn("hot benchmark regression: %s = %.2f, more than 10%% below the %s of %.2f",
-		metric, got, refName, ref)
+	checked, fired := 0, false
+	for _, ru := range rules {
+		if ru.experiment != r.Experiment || (ru.vsBaseline && base == nil) {
+			continue
+		}
+		keys := matching(r.Metrics, ru.metric)
+		if len(keys) == 0 {
+			g.fail("%s: report lacks metric %s, which a rule reads", r.Experiment, ru.metric)
+			fired = true
+			continue
+		}
+		if ru.skip != nil {
+			if reason := ru.skip(r, base); reason != "" {
+				g.notice("%s: %s rule skipped: %s", r.Experiment, ru.metric, reason)
+				continue
+			}
+		}
+		bound, what := ru.bound, ru.what
+		if ru.vsBaseline {
+			ref, ok := base.Metrics[ru.metric]
+			if !ok {
+				g.notice("%s: baseline has no %s; rule skipped", r.Experiment, ru.metric)
+				continue
+			}
+			bound *= ref
+			what = fmt.Sprintf("%s of %s", what, fmtMetric(ru.metric, ref))
+		}
+		for _, k := range keys {
+			v := r.Metrics[k]
+			checked++
+			if ru.ceiling && v <= bound || !ru.ceiling && v >= bound {
+				continue
+			}
+			fired = true
+			side := "below the floor"
+			if ru.ceiling {
+				side = "above the ceiling"
+			}
+			report := g.warn
+			if ru.hard {
+				report = g.fail
+			}
+			report("%s: %s = %s, %s %s (%s)", r.Experiment, k, fmtMetric(k, v), side, fmtMetric(k, bound), what)
+		}
+	}
+	if !fired {
+		fmt.Fprintf(g.out, "benchgate: %s ok (%d checks)\n", r.Experiment, checked)
+	}
+}
+
+// matching returns the sorted metric keys a rule on metric reads: metric
+// itself and every metric+"."-prefixed key.
+func matching(metrics map[string]float64, metric string) []string {
+	var keys []string
+	for k := range metrics {
+		if k == metric || strings.HasPrefix(k, metric+".") {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// fmtMetric prints nanosecond metrics as durations and others as numbers.
+func fmtMetric(key string, v float64) string {
+	if strings.HasSuffix(key, "_ns") {
+		return time.Duration(v).Round(time.Microsecond).String()
+	}
+	return fmt.Sprintf("%.4g", v)
 }
 
 func main() {
-	freshPath := flag.String("fresh", "BENCH_hot.json", "freshly generated report to check")
-	basePath := flag.String("baseline", "", "committed baseline report to compare against (optional)")
-	scalePath := flag.String("scale", "", "freshly generated BENCH_scale.json to gate (optional)")
-	servePath := flag.String("serve", "", "freshly generated BENCH_serve.json to gate (optional)")
-	apiPath := flag.String("api", "", "freshly generated BENCH_api.json to gate (optional)")
-	emstPath := flag.String("emst", "", "freshly generated BENCH_emst.json to gate (optional)")
-	oocPath := flag.String("ooc", "", "freshly generated BENCH_ooc.json to gate (optional)")
-	strict := flag.Bool("strict", false, "exit non-zero (and annotate as errors) on regression")
+	basePath := flag.String("baseline", "", "baseline report to compare against (optional; BENCH_hot.json for the hot rules)")
+	strict := flag.Bool("strict", false, "exit non-zero (and annotate as errors) on a soft regression")
+	flag.Usage = func() {
+		fmt.Fprintln(flag.CommandLine.Output(), "usage: benchgate [-baseline FILE] [-strict] BENCH_*.json")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
-
+	if flag.NArg() == 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
 	g := &gate{out: os.Stdout, strict: *strict}
-
-	fresh, err := readHeadline(*freshPath)
-	if err != nil {
-		fmt.Printf("::error ::benchgate: %v\n", err)
-		os.Exit(1)
-	}
-	if fresh != nil {
-		var base *hotHeadline
-		if *basePath != "" {
-			base, err = readHeadline(*basePath)
-			if err != nil {
-				// An unreadable baseline is not a regression — the first run
-				// that generates one has nothing to compare against.
-				fmt.Printf("::notice ::benchgate: no usable baseline (%v); checked acceptance floors only\n", err)
-				base = nil
-			}
-			// A missing file yields nil; readHeadline already printed the
-			// notice.
-		}
-		g.gateHot(fresh, base)
-	}
-
-	if *scalePath != "" {
-		scale, err := readScale(*scalePath)
-		if err != nil {
-			fmt.Printf("::error ::benchgate: %v\n", err)
-			os.Exit(1)
-		}
-		if scale != nil {
-			g.gateScale(scale)
-		}
-	}
-	if *servePath != "" {
-		serve, err := readServe(*servePath)
-		if err != nil {
-			fmt.Printf("::error ::benchgate: %v\n", err)
-			os.Exit(1)
-		}
-		if serve != nil {
-			g.gateServe(serve)
-		}
-	}
-	if *apiPath != "" {
-		api, err := readAPI(*apiPath)
-		if err != nil {
-			fmt.Printf("::error ::benchgate: %v\n", err)
-			os.Exit(1)
-		}
-		if api != nil {
-			g.gateAPI(api)
-		}
-	}
-	if *emstPath != "" {
-		emst, err := readEmst(*emstPath)
-		if err != nil {
-			fmt.Printf("::error ::benchgate: %v\n", err)
-			os.Exit(1)
-		}
-		if emst != nil {
-			g.gateEmst(emst)
-		}
-	}
-	if *oocPath != "" {
-		ooc, err := readOoc(*oocPath)
-		if err != nil {
-			fmt.Printf("::error ::benchgate: %v\n", err)
-			os.Exit(1)
-		}
-		if ooc != nil {
-			g.gateOoc(ooc)
-		}
-	}
-
+	g.run(*basePath, flag.Args())
 	if !g.regressed && !g.hardFail {
-		if fresh != nil {
-			fmt.Printf("benchgate: ok (speedup %.2fx >= %.2f, alloc ratio %.1fx >= %.1f)\n",
-				fresh.Headline2DGridSpeedup, floorSpeedup*grace, fresh.HeadlineAllocRatio, floorAllocRatio*grace)
-		} else {
-			fmt.Println("benchgate: ok (hot report missing, floors skipped)")
-		}
+		fmt.Println("benchgate: ok")
 	}
 	if g.hardFail || (g.regressed && *strict) {
 		os.Exit(1)
 	}
 }
 
-// gateHot checks the hot-path ratios against their acceptance floors and,
-// when base is non-nil, against the committed baseline.
-func (g *gate) gateHot(fresh, base *hotHeadline) {
-	g.check("headline_2d_grid_speedup", fresh.Headline2DGridSpeedup, floorSpeedup, "acceptance floor")
-	g.check("headline_alloc_ratio", fresh.HeadlineAllocRatio, floorAllocRatio, "acceptance floor")
-	switch {
-	case base == nil:
-	case base.Threads != fresh.Threads:
-		// A baseline measured at a different worker count is not comparable
-		// even on ratio metrics (parallel overheads scale with it); refuse
-		// it rather than let a thread-count change masquerade as a perf
-		// change in either direction.
-		fmt.Fprintf(g.out, "::notice ::benchgate: baseline recorded at threads=%d but fresh report at threads=%d; thread-mismatched baselines are not comparable, checked acceptance floors only\n",
-			base.Threads, fresh.Threads)
-	default:
-		g.check("headline_2d_grid_speedup", fresh.Headline2DGridSpeedup, base.Headline2DGridSpeedup, "committed baseline")
-		g.check("headline_alloc_ratio", fresh.HeadlineAllocRatio, base.HeadlineAllocRatio, "committed baseline")
-	}
-}
-
-func (g *gate) gateScale(scale *scaleHeadline) {
-	if len(scale.ThreadSweep) < 2 {
-		g.fail("scale: thread sweep covers %d worker count(s); the scaling report requires at least two", len(scale.ThreadSweep))
-	}
-	if scale.NumCPU <= 1 {
-		fmt.Fprintf(g.out, "::notice ::scale: runner has %d CPU; self-relative scaling floor (%.1fx) not applicable, skipped\n",
-			scale.NumCPU, floorScaleSpeedup)
-	} else if scale.TopSelfSpeedup < floorScaleSpeedup*grace {
-		g.warn("scale: top self-relative speedup %.2fx at %d threads (%d CPUs), more than 10%% below the %.1fx floor",
-			scale.TopSelfSpeedup, scale.ThreadSweep[len(scale.ThreadSweep)-1], scale.NumCPU, floorScaleSpeedup)
-	} else {
-		fmt.Fprintf(g.out, "benchgate: scale ok (self-relative %.2fx at %d threads on %d CPUs)\n",
-			scale.TopSelfSpeedup, scale.ThreadSweep[len(scale.ThreadSweep)-1], scale.NumCPU)
-	}
-	// Sampled-core acceptance, per dataset: among the rows at frac <=
-	// ceilSampledFrac, the accurate ones (ARI >= floor) must include a
-	// >= 2x clustering-phase speedup. No accurate row at all is a hard
-	// error — speed without fidelity is not an approximation.
-	bestByDS := map[string]float64{}
-	for _, row := range scale.Sampled {
-		if row.Frac > ceilSampledFrac {
-			continue
-		}
-		if _, seen := bestByDS[row.Dataset]; !seen {
-			bestByDS[row.Dataset] = -1
-		}
-		if row.ARI >= floorSampledARI && row.Speedup > bestByDS[row.Dataset] {
-			bestByDS[row.Dataset] = row.Speedup
+// run reads the baseline (if basePath is set) and checks every report in
+// paths.
+func (g *gate) run(basePath string, paths []string) {
+	var base *benchreport.Report
+	if basePath != "" {
+		var err error
+		if base, err = benchreport.Read(basePath); err != nil {
+			// An unusable baseline is not a regression: the first run that
+			// generates one has nothing to compare against.
+			g.notice("benchgate: no usable baseline (%v); checked the absolute bounds only", err)
 		}
 	}
-	if len(bestByDS) == 0 {
-		g.fail("scale: no sampled-core rows at frac <= 0.1 in the report")
-	}
-	for ds, best := range bestByDS {
+	for _, path := range paths {
+		r, err := benchreport.Read(path)
 		switch {
-		case best < 0:
-			g.fail("scale: %s: no sampled-core row with ARI >= %.2f vs exact (frac <= %.1f)",
-				ds, floorSampledARI, ceilSampledFrac)
-		case best < floorSampledSpeedup*grace:
-			g.warn("scale: %s: best accurate sampled-core speedup %.2fx, more than 10%% below the %.1fx floor",
-				ds, best, floorSampledSpeedup)
+		case errors.Is(err, fs.ErrNotExist):
+			g.notice("benchgate: %s not found; gate skipped", path)
+		case err != nil:
+			g.fail("benchgate: %v", err)
 		default:
-			fmt.Fprintf(g.out, "benchgate: scale sampled ok (%s: %.2fx at ARI >= %.2f)\n", ds, best, floorSampledARI)
+			g.check(r, base)
 		}
 	}
-}
-
-func (g *gate) gateServe(serve *serveHeadline) {
-	// Correctness invariants: hard errors regardless of -strict.
-	if !serve.RecoveredEqual {
-		g.fail("serve: a run after a cancelled run diverged from the baseline (recovered_equal=false)")
-	}
-	if !serve.BudgetConformant {
-		g.fail("serve: engine worker usage exceeded the shared budget (budget_conformant=false)")
-	}
-	switch {
-	case serve.CancelledMidCluster == 0:
-		fmt.Fprintf(g.out, "::notice ::serve: no trial was cancelled mid-run at n=%d; latency floor not exercised\n", serve.N)
-	case time.Duration(serve.CancelLatencyMaxNS) > floorCancelLatency:
-		g.warn("serve: cancellation latency max %v exceeds the %v acceptance floor",
-			time.Duration(serve.CancelLatencyMaxNS), floorCancelLatency)
-	default:
-		fmt.Fprintf(g.out, "benchgate: serve ok (cancel latency max %v <= %v over %d trials, recovery equal, budget conformant)\n",
-			time.Duration(serve.CancelLatencyMaxNS), floorCancelLatency, serve.CancelledMidCluster)
-	}
-}
-
-func (g *gate) gateAPI(api *apiHeadline) {
-	// Invariants of the serving contract: hard errors regardless of
-	// -strict. Backpressure (429s) is designed behavior; anything else
-	// failing is not.
-	if !api.BudgetConformant {
-		g.fail("api: engine worker usage exceeded the shared budget under HTTP load (budget_conformant=false)")
-	}
-	if !api.RetryAfterAlways {
-		g.fail("api: a 429/503 response was missing its Retry-After header (retry_after_always=false)")
-	}
-	if api.ErrorsOther > 0 {
-		g.fail("api: %d requests failed outside the designed 429/503 backpressure", api.ErrorsOther)
-	}
-	if !api.DrainedCleanly {
-		g.fail("api: graceful drain did not complete (drained_cleanly=false)")
-	}
-	if api.Sessions < floorAPISessions {
-		g.warn("api: %d concurrent sessions, below the %d-session load floor", api.Sessions, floorAPISessions)
-	}
-	if time.Duration(api.QueueP99NS) > ceilAPIQueueP99 {
-		g.warn("api: queue-wait p99 %v exceeds the %v ceiling", time.Duration(api.QueueP99NS), ceilAPIQueueP99)
-	}
-	if time.Duration(api.LatencyP99NS) > ceilAPIE2EP99 {
-		g.warn("api: end-to-end p99 %v exceeds the %v ceiling", time.Duration(api.LatencyP99NS), ceilAPIE2EP99)
-	}
-	if api.BudgetConformant && api.RetryAfterAlways && api.ErrorsOther == 0 && api.DrainedCleanly {
-		fmt.Fprintf(g.out, "benchgate: api ok (%d sessions, %d requests, %d runs, 429 rate %.1f%%, queue p99 %v, e2e p99 %v)\n",
-			api.Sessions, api.Requests, api.RunsCompleted, 100*api.Rate429,
-			time.Duration(api.QueueP99NS).Round(time.Microsecond),
-			time.Duration(api.LatencyP99NS).Round(time.Microsecond))
-	}
-}
-
-func (g *gate) gateEmst(emst *emstHeadline) {
-	// Correctness invariant: every cut label-permutation-equal to its
-	// from-scratch run. A fast sweep that answers a different question
-	// is not a result; hard error regardless of -strict.
-	if !emst.QueriesEqual {
-		g.fail("emst: a hierarchy cut diverged from its from-scratch run (queries_equal=false)")
-	}
-	if emst.AmortizationRatio < floorEmstAmortization*grace {
-		g.warn("emst: sweep amortization %.2fx, more than 10%% below the %.1fx acceptance floor",
-			emst.AmortizationRatio, floorEmstAmortization)
-	} else if emst.QueriesEqual {
-		fmt.Fprintf(g.out, "benchgate: emst ok (amortization %.2fx >= %.2f at n=%d, all cuts equal)\n",
-			emst.AmortizationRatio, floorEmstAmortization*grace, emst.N)
-	}
-}
-
-func (g *gate) gateOoc(ooc *oocHeadline) {
-	// All three acceptance criteria are hard errors regardless of -strict:
-	// an out-of-core mode that changes answers, never leaves RAM-scale, or
-	// maps past its budget has not earned the name.
-	ok := true
-	if !ooc.LabelsPermEqual {
-		g.fail("ooc: spill labels were not permutation-equal to the in-RAM run (labels_perm_equal=false)")
-		ok = false
-	}
-	if float64(ooc.DatasetBytes) < floorOocDatasetRatio*float64(ooc.BudgetBytes) {
-		g.fail("ooc: dataset (%d bytes) is under %.0fx the %d-byte residency budget; the spill path was not meaningfully exercised",
-			ooc.DatasetBytes, floorOocDatasetRatio, ooc.BudgetBytes)
-		ok = false
-	}
-	if float64(ooc.PeakResidentBytes) > ceilOocPeakRatio*float64(ooc.BudgetBytes) {
-		g.fail("ooc: peak mapped window %d bytes exceeds %.2fx the %d-byte residency budget",
-			ooc.PeakResidentBytes, ceilOocPeakRatio, ooc.BudgetBytes)
-		ok = false
-	}
-	if ooc.InRAMWallNS > 0 && float64(ooc.OOCWallNS) > ceilOocWallRatio*float64(ooc.InRAMWallNS) {
-		g.warn("ooc: spill run took %v vs %v in-RAM, over the %gx soft ceiling",
-			time.Duration(ooc.OOCWallNS), time.Duration(ooc.InRAMWallNS), ceilOocWallRatio)
-		ok = false
-	}
-	if ok {
-		fmt.Fprintf(g.out, "benchgate: ooc ok (n=%d, dataset %.1fx budget, peak window %.2fx budget, spill wall %.2fx in-RAM, labels equal)\n",
-			ooc.N, float64(ooc.DatasetBytes)/float64(ooc.BudgetBytes),
-			float64(ooc.PeakResidentBytes)/float64(ooc.BudgetBytes),
-			float64(ooc.OOCWallNS)/float64(ooc.InRAMWallNS))
-	}
-}
-
-// missingNotice reports a plainly absent report file as a skipped gate. Only
-// files that exist but cannot be read or parsed are errors.
-func missingNotice(path string, err error) bool {
-	if os.IsNotExist(err) {
-		fmt.Printf("::notice ::benchgate: %s not found; gate skipped\n", path)
-		return true
-	}
-	return false
-}
-
-func readScale(path string) (*scaleHeadline, error) {
-	data, err := os.ReadFile(path)
-	if missingNotice(path, err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var s scaleHeadline
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if s.NumCPU == 0 || s.TopSelfSpeedup == 0 {
-		return nil, fmt.Errorf("%s: missing scale metrics", path)
-	}
-	return &s, nil
-}
-
-func readAPI(path string) (*apiHeadline, error) {
-	data, err := os.ReadFile(path)
-	if missingNotice(path, err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var a apiHeadline
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if a.Sessions == 0 || a.Requests == 0 {
-		return nil, fmt.Errorf("%s: missing api metrics", path)
-	}
-	return &a, nil
-}
-
-func readEmst(path string) (*emstHeadline, error) {
-	data, err := os.ReadFile(path)
-	if missingNotice(path, err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var e emstHeadline
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if e.N == 0 || e.AmortizationRatio == 0 {
-		return nil, fmt.Errorf("%s: missing emst metrics", path)
-	}
-	return &e, nil
-}
-
-func readOoc(path string) (*oocHeadline, error) {
-	data, err := os.ReadFile(path)
-	if missingNotice(path, err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var o oocHeadline
-	if err := json.Unmarshal(data, &o); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if o.N == 0 || o.DatasetBytes == 0 || o.BudgetBytes == 0 {
-		return nil, fmt.Errorf("%s: missing ooc metrics", path)
-	}
-	return &o, nil
-}
-
-func readServe(path string) (*serveHeadline, error) {
-	data, err := os.ReadFile(path)
-	if missingNotice(path, err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var s serveHeadline
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if s.N == 0 {
-		return nil, fmt.Errorf("%s: missing serve metrics", path)
-	}
-	return &s, nil
-}
-
-func readHeadline(path string) (*hotHeadline, error) {
-	data, err := os.ReadFile(path)
-	if missingNotice(path, err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var h hotHeadline
-	if err := json.Unmarshal(data, &h); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if h.Headline2DGridSpeedup == 0 || h.HeadlineAllocRatio == 0 {
-		return nil, fmt.Errorf("%s: missing headline metrics", path)
-	}
-	return &h, nil
 }

@@ -15,51 +15,10 @@ import (
 	"time"
 
 	"pdbscan/engine"
+	"pdbscan/internal/benchreport"
 	"pdbscan/internal/geom"
 	"pdbscan/serve"
 )
-
-// apiReport is the BENCH_api.json schema: the HTTP serving layer under a
-// storm of concurrent sessions mixing batch runs, streaming ticks, and
-// hierarchy cuts over one shared worker budget. The queue is sized well below
-// the offered concurrency so organic 429 backpressure is part of the measured
-// behavior, not an error. cmd/benchgate -api gates the booleans hard
-// (budget conformance, Retry-After on every 429/503, zero unexpected errors)
-// and the latency figures softly.
-type apiReport struct {
-	Sessions         int `json:"sessions"`
-	PointsPerSession int `json:"points_per_session"`
-	Budget           int `json:"budget"`
-	MaxQueue         int `json:"max_queue"`
-
-	Requests      int64   `json:"requests"`       // HTTP attempts, retries included
-	RunsCompleted int64   `json:"runs_completed"` // runs/ticks/cuts that returned done
-	Responses429  int64   `json:"responses_429"`
-	Rate429       float64 `json:"rate_429"`
-	// RetryAfterAlways: every 429/503 response carried a Retry-After header.
-	RetryAfterAlways bool `json:"retry_after_always"`
-	// ErrorsOther: responses outside {2xx, 429} — must be zero.
-	ErrorsOther int64 `json:"errors_other"`
-
-	// End-to-end HTTP latency per attempt (client-measured), and server-side
-	// queue wait per completed run (from the response's stats.queued_ns).
-	LatencyP50NS int64 `json:"latency_p50_ns"`
-	LatencyP90NS int64 `json:"latency_p90_ns"`
-	LatencyP99NS int64 `json:"latency_p99_ns"`
-	LatencyMaxNS int64 `json:"latency_max_ns"`
-	QueueP50NS   int64 `json:"queue_p50_ns"`
-	QueueP99NS   int64 `json:"queue_p99_ns"`
-
-	WallNS    int64   `json:"wall_ns"`
-	ReqPerSec float64 `json:"req_per_sec"`
-
-	// Sampled engine conformance: WorkersInUse never above Budget.
-	MaxWorkersInUse  int  `json:"max_workers_in_use"`
-	BudgetConformant bool `json:"budget_conformant"`
-	// DrainedCleanly: Drain -> http.Server.Shutdown -> Close finished with
-	// every in-flight request answered.
-	DrainedCleanly bool `json:"drained_cleanly"`
-}
 
 // apiLoad is the shared client state of the load run: one pooled HTTP client
 // plus the latency/outcome accumulators every session goroutine feeds.
@@ -174,8 +133,9 @@ func apiPct(sorted []int64, p float64) int64 {
 
 // expAPI drives the dbscand serving stack (package serve over a real TCP
 // listener) with hundreds of concurrent sessions — a third each batch,
-// streaming, and hierarchy — against a deliberately small admission queue,
-// and records BENCH_api.json.
+// streaming, and hierarchy — over one shared worker budget, and records
+// BENCH_api.json. The queue is sized well below the offered concurrency so
+// organic 429 backpressure is part of the measured behavior, not an error.
 func expAPI(o options) {
 	threads := effectiveThreads(o.threads)
 	const sessions = 200
@@ -209,13 +169,13 @@ func expAPI(o options) {
 		},
 		retrySleep: 250 * time.Millisecond,
 	}
-	rep := apiReport{
-		Sessions: sessions, PointsPerSession: perSession,
-		Budget: srv.Engine().Budget(), MaxQueue: maxQueue,
-		RetryAfterAlways: true, BudgetConformant: true,
-	}
+	budget := srv.Engine().Budget()
+	rep := benchreport.New("api", threads, map[string]any{
+		"dataset": "ss-varden-2d", "n": o.n, "seed": o.seed,
+		"points_per_session": perSession, "budget": budget, "max_queue": maxQueue,
+	})
 	fmt.Printf("api: %d concurrent sessions x %d points on %s (budget %d, queue %d)\n",
-		sessions, perSession, load.base, rep.Budget, maxQueue)
+		sessions, perSession, load.base, budget, maxQueue)
 
 	// Budget-conformance sampler, same cadence as the serve experiment.
 	stop := make(chan struct{})
@@ -331,55 +291,65 @@ func expAPI(o options) {
 		fmt.Printf("api: ERROR %v\n", err)
 	}
 
-	// Drain in the documented order and confirm it completes.
+	// Drain in the documented order and confirm it completes: every
+	// in-flight request answered through Drain -> Shutdown -> Close.
 	srv.Drain()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	rep.DrainedCleanly = hs.Shutdown(ctx) == nil
+	drained := hs.Shutdown(ctx) == nil
 	srv.Close()
 
-	rep.Requests = load.requests.Load()
-	rep.RunsCompleted = load.runsDone.Load()
-	rep.Responses429 = load.resp429.Load()
-	if rep.Requests > 0 {
-		rep.Rate429 = float64(rep.Responses429) / float64(rep.Requests)
+	// Requests counts HTTP attempts, retries included; errors_other counts
+	// responses outside {2xx, 429, 503}, which must be zero. Latency is the
+	// client-measured end-to-end time per attempt, queue wait the server's
+	// stats.queued_ns per completed run.
+	requests, resp429 := load.requests.Load(), load.resp429.Load()
+	var rate429 float64
+	if requests > 0 {
+		rate429 = float64(resp429) / float64(requests)
 	}
-	rep.RetryAfterAlways = load.missingRetry.Load() == 0
-	rep.ErrorsOther = load.errOther.Load()
-	rep.WallNS = wall.Nanoseconds()
-	rep.ReqPerSec = float64(rep.Requests) / wall.Seconds()
-	rep.MaxWorkersInUse = int(maxInUse.Load())
-	rep.BudgetConformant = violated.Load() == 0
-
+	retryAfterAlways := load.missingRetry.Load() == 0
+	conformant := violated.Load() == 0
+	reqPerSec := float64(requests) / wall.Seconds()
 	sort.Slice(load.latencies, func(i, j int) bool { return load.latencies[i] < load.latencies[j] })
 	sort.Slice(load.queueNS, func(i, j int) bool { return load.queueNS[i] < load.queueNS[j] })
-	rep.LatencyP50NS = apiPct(load.latencies, 0.50)
-	rep.LatencyP90NS = apiPct(load.latencies, 0.90)
-	rep.LatencyP99NS = apiPct(load.latencies, 0.99)
-	rep.LatencyMaxNS = apiPct(load.latencies, 1)
-	rep.QueueP50NS = apiPct(load.queueNS, 0.50)
-	rep.QueueP99NS = apiPct(load.queueNS, 0.99)
+	rep.Metrics = map[string]float64{
+		"sessions":           sessions,
+		"requests":           float64(requests),
+		"runs_completed":     float64(load.runsDone.Load()),
+		"responses_429":      float64(resp429),
+		"rate_429":           rate429,
+		"retry_after_always": benchreport.Bool(retryAfterAlways),
+		"errors_other":       float64(load.errOther.Load()),
+		"latency_p50_ns":     float64(apiPct(load.latencies, 0.50)),
+		"latency_p90_ns":     float64(apiPct(load.latencies, 0.90)),
+		"latency_p99_ns":     float64(apiPct(load.latencies, 0.99)),
+		"latency_max_ns":     float64(apiPct(load.latencies, 1)),
+		"queue_p50_ns":       float64(apiPct(load.queueNS, 0.50)),
+		"queue_p99_ns":       float64(apiPct(load.queueNS, 0.99)),
+		"wall_ns":            float64(wall.Nanoseconds()),
+		"req_per_sec":        reqPerSec,
+		"max_workers_in_use": float64(maxInUse.Load()),
+		"budget_conformant":  benchreport.Bool(conformant),
+		"drained_cleanly":    benchreport.Bool(drained),
+	}
+	m := rep.Metrics
 
-	tbl := newTable(fmt.Sprintf("API load: %d sessions, %d requests in %v", sessions, rep.Requests, wall.Round(time.Millisecond)),
+	dur := func(name string) string {
+		return time.Duration(m[name]).Round(time.Microsecond).String()
+	}
+	tbl := newTable(fmt.Sprintf("API load: %d sessions, %d requests in %v", sessions, requests, wall.Round(time.Millisecond)),
 		"metric", "value")
-	tbl.add("runs completed", fmt.Sprint(rep.RunsCompleted))
-	tbl.add("requests/s", fmt.Sprintf("%.1f", rep.ReqPerSec))
-	tbl.add("429 rate", fmt.Sprintf("%.1f%% (%d)", 100*rep.Rate429, rep.Responses429))
-	tbl.add("Retry-After on every 429/503", fmt.Sprint(rep.RetryAfterAlways))
-	tbl.add("other errors", fmt.Sprint(rep.ErrorsOther))
-	tbl.add("e2e latency p50/p90/p99", fmt.Sprintf("%v / %v / %v",
-		time.Duration(rep.LatencyP50NS).Round(time.Microsecond),
-		time.Duration(rep.LatencyP90NS).Round(time.Microsecond),
-		time.Duration(rep.LatencyP99NS).Round(time.Microsecond)))
-	tbl.add("queue wait p50/p99", fmt.Sprintf("%v / %v",
-		time.Duration(rep.QueueP50NS).Round(time.Microsecond),
-		time.Duration(rep.QueueP99NS).Round(time.Microsecond)))
-	tbl.add("budget / max in use / conformant", fmt.Sprintf("%d / %d / %v", rep.Budget, rep.MaxWorkersInUse, rep.BudgetConformant))
-	tbl.add("drained cleanly", fmt.Sprint(rep.DrainedCleanly))
+	tbl.add("runs completed", fmt.Sprint(m["runs_completed"]))
+	tbl.add("requests/s", fmt.Sprintf("%.1f", reqPerSec))
+	tbl.add("429 rate", fmt.Sprintf("%.1f%% (%d)", 100*rate429, resp429))
+	tbl.add("Retry-After on every 429/503", fmt.Sprint(retryAfterAlways))
+	tbl.add("other errors", fmt.Sprint(m["errors_other"]))
+	tbl.add("e2e latency p50/p90/p99", dur("latency_p50_ns")+" / "+dur("latency_p90_ns")+" / "+dur("latency_p99_ns"))
+	tbl.add("queue wait p50/p99", dur("queue_p50_ns")+" / "+dur("queue_p99_ns"))
+	tbl.add("budget / max in use / conformant", fmt.Sprintf("%d / %d / %v", budget, maxInUse.Load(), conformant))
+	tbl.add("drained cleanly", fmt.Sprint(drained))
 	tbl.print()
 
-	if o.jsonPath != "" {
-		writeJSON(o.jsonPath, rep)
-		fmt.Printf("wrote %s\n", o.jsonPath)
-	}
+	writeReport(o, rep)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pdbscan"
+	"pdbscan/internal/benchreport"
 )
 
 // emstQuery is one eps of the sweep: the hierarchy cut vs a from-scratch run
@@ -15,44 +16,6 @@ type emstQuery struct {
 	CutNs       int64   `json:"cut_ns"`
 	RunNs       int64   `json:"run_ns"`
 	LabelsEqual bool    `json:"labels_equal"`
-}
-
-// emstReport is the BENCH_emst.json schema: one EMST-backed hierarchy build
-// amortized over a 16-eps sweep, against 16 independent from-scratch
-// Clusterer runs on the same data.
-type emstReport struct {
-	Dataset string  `json:"dataset"`
-	N       int     `json:"n"`
-	D       int     `json:"d"`
-	MinPts  int     `json:"min_pts"`
-	EpsMax  float64 `json:"eps_max"`
-	Seed    int64   `json:"seed"`
-	Threads int     `json:"threads"`
-
-	NumEdges int   `json:"num_edges"`
-	BuildNs  int64 `json:"build_ns"`
-	// SweepNs is BuildNs plus every cut; BatchNs is the sum of the
-	// independent runs (each paying its own eps-keyed grid construction,
-	// exactly what a caller without the hierarchy would pay).
-	SweepNs    int64 `json:"sweep_ns"`
-	BatchNs    int64 `json:"batch_ns"`
-	QueryAvgNs int64 `json:"query_avg_ns"`
-	QueryMaxNs int64 `json:"query_max_ns"`
-
-	// AmortizationRatio is BatchNs / SweepNs — how much faster the sweep is
-	// through one build + cheap cuts. The benchgate floor pins it at >= 5x.
-	AmortizationRatio float64 `json:"amortization_ratio"`
-	// QueriesEqual is true when every cut was label-permutation-equal to its
-	// from-scratch run (same cluster count, same core flags, core labels in
-	// bijection, border membership sets equal under it — the oracle suite's
-	// equivalence). benchgate treats false as a hard failure regardless of
-	// -strict.
-	QueriesEqual bool `json:"queries_equal"`
-
-	ExtractNs      int64 `json:"extract_ns"`
-	StableClusters int   `json:"stable_clusters"`
-
-	Queries []emstQuery `json:"queries"`
 }
 
 // expEmst measures the tentpole of the hierarchy subsystem: build the core
@@ -70,10 +33,15 @@ func expEmst(o options) {
 	pts := loadDataset(name, o.n, o.seed)
 	fmt.Printf("EMST sweep: %s n=%d minPts=%d, %d eps in (0, %g]\n\n", name, pts.N, minPts, sweeps, epsMax)
 
-	rep := emstReport{
-		Dataset: name, N: pts.N, D: pts.D, MinPts: minPts, EpsMax: epsMax,
-		Seed: o.seed, Threads: effectiveThreads(o.threads), QueriesEqual: true,
-	}
+	rep := benchreport.New("emst", effectiveThreads(o.threads), map[string]any{
+		"dataset": name, "n": pts.N, "d": pts.D, "min_pts": minPts, "eps_max": epsMax, "seed": o.seed,
+	})
+	var queries []emstQuery
+	// sweepNS is the build plus every cut; batchNS is the sum of the
+	// independent runs, each paying its own eps-keyed grid construction,
+	// exactly what a caller without the hierarchy would pay.
+	var sweepNS, batchNS, queryMaxNS int64
+	allEqual := true
 
 	c, err := pdbscan.NewClustererFlat(pts.Data, pts.D, epsMax)
 	if err != nil {
@@ -85,8 +53,6 @@ func expEmst(o options) {
 		fatalf("emst: BuildHierarchy: %v", err)
 	}
 	build := time.Since(start)
-	rep.BuildNs = build.Nanoseconds()
-	rep.NumEdges = h.NumEdges()
 	fmt.Printf("build: %d MR-EMST edges in %v\n", h.NumEdges(), build.Round(time.Millisecond))
 
 	tbl := newTable("hierarchy cut vs from-scratch run",
@@ -112,49 +78,58 @@ func expEmst(o options) {
 		runNs := time.Since(start).Nanoseconds()
 
 		equal := equivalentClusterings(cut, run)
-		if !equal {
-			rep.QueriesEqual = false
-		}
-		rep.Queries = append(rep.Queries, emstQuery{
+		allEqual = allEqual && equal
+		queries = append(queries, emstQuery{
 			Eps: eps, Clusters: cut.NumClusters,
 			CutNs: cutNs, RunNs: runNs, LabelsEqual: equal,
 		})
-		rep.SweepNs += cutNs
-		rep.BatchNs += runNs
-		if cutNs > rep.QueryMaxNs {
-			rep.QueryMaxNs = cutNs
-		}
+		sweepNS += cutNs
+		batchNS += runNs
+		queryMaxNS = max(queryMaxNS, cutNs)
 		tbl.add(fmt.Sprintf("%.4g", eps), fmt.Sprint(cut.NumClusters),
 			fmtDur(time.Duration(cutNs)), fmtDur(time.Duration(runNs)),
 			fmt.Sprint(equal))
 	}
 	tbl.print()
 
-	rep.QueryAvgNs = rep.SweepNs / sweeps
-	rep.SweepNs += rep.BuildNs
-	rep.AmortizationRatio = float64(rep.BatchNs) / float64(rep.SweepNs)
+	queryAvgNS := sweepNS / sweeps
+	sweepNS += build.Nanoseconds()
+	amortization := float64(batchNS) / float64(sweepNS)
 
 	start = time.Now()
 	stable, err := h.ExtractStable(0)
 	if err != nil {
 		fatalf("emst: ExtractStable: %v", err)
 	}
-	rep.ExtractNs = time.Since(start).Nanoseconds()
-	rep.StableClusters = stable.NumClusters
+	extract := time.Since(start)
 
 	fmt.Printf("\nsweep %v (build %v + %d cuts avg %v) vs batch %v: %.2fx amortization; all equal: %v\n",
-		time.Duration(rep.SweepNs).Round(time.Millisecond),
+		time.Duration(sweepNS).Round(time.Millisecond),
 		build.Round(time.Millisecond), sweeps,
-		time.Duration(rep.QueryAvgNs).Round(time.Microsecond),
-		time.Duration(rep.BatchNs).Round(time.Millisecond),
-		rep.AmortizationRatio, rep.QueriesEqual)
+		time.Duration(queryAvgNS).Round(time.Microsecond),
+		time.Duration(batchNS).Round(time.Millisecond),
+		amortization, allEqual)
 	fmt.Printf("ExtractStable: %d stable clusters in %v\n",
-		rep.StableClusters, time.Duration(rep.ExtractNs).Round(time.Millisecond))
+		stable.NumClusters, extract.Round(time.Millisecond))
 
-	if o.jsonPath != "" {
-		writeJSON(o.jsonPath, rep)
-		fmt.Printf("wrote %s\n", o.jsonPath)
+	// amortization_ratio (batch over sweep) is the gated speedup of one
+	// build plus cheap cuts; queries_equal is 1 when every cut was
+	// label-permutation-equal to its from-scratch run (the oracle suite's
+	// equivalence).
+	rep.Metrics = map[string]float64{
+		"num_edges":          float64(h.NumEdges()),
+		"build_ns":           float64(build.Nanoseconds()),
+		"sweep_ns":           float64(sweepNS),
+		"batch_ns":           float64(batchNS),
+		"query_avg_ns":       float64(queryAvgNS),
+		"query_max_ns":       float64(queryMaxNS),
+		"amortization_ratio": amortization,
+		"queries_equal":      benchreport.Bool(allEqual),
+		"extract_ns":         float64(extract.Nanoseconds()),
+		"stable_clusters":    float64(stable.NumClusters),
 	}
+	rep.Rows["queries"] = queries
+	writeReport(o, rep)
 }
 
 // equivalentClusterings reports whether two results describe the same

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"pdbscan/internal/benchreport"
 	"pdbscan/internal/core"
 	"pdbscan/internal/geom"
 	"pdbscan/internal/grid"
@@ -29,35 +30,6 @@ type hotRun struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	Clusters    int     `json:"clusters"`
-}
-
-// hotReport is the BENCH_hot.json schema: before/after clustering-phase
-// latency and allocation counts across methods and dimensionalities, over
-// prebuilt cell structures (grid construction excluded — it is paid once per
-// Clusterer, not per run).
-type hotReport struct {
-	Seed    int64    `json:"seed"`
-	Threads int      `json:"threads"`
-	Runs    []hotRun `json:"runs"`
-	// Headline2DGridSpeedup is before/after ns-per-op for 2d-grid-bcp at the
-	// full point count (the paper's fastest 2D method — the hot path the
-	// kernels and arena target).
-	Headline2DGridSpeedup float64 `json:"headline_2d_grid_speedup"`
-	// HeadlineAllocRatio is seed-vs-now allocs-per-op for the same
-	// configuration: how many fewer heap allocations a steady-state
-	// Clusterer.Run makes than the pre-optimization implementation (see
-	// seedAllocsPerOp). The in-run "before" mode cannot reproduce the seed's
-	// allocation behavior — its per-pair and per-cell allocations were
-	// removed structurally, not by a toggle — so the seed count is pinned
-	// from a direct measurement instead.
-	HeadlineAllocRatio float64 `json:"headline_alloc_ratio"`
-	// SeedAllocsPerOp echoes the pinned seed measurement the ratio is
-	// computed against.
-	SeedAllocsPerOp float64 `json:"seed_allocs_per_op"`
-	// ModeAllocRatio is the in-run before/after allocs-per-op ratio for the
-	// headline configuration (generic+unpooled vs specialized+arena): the
-	// part of the allocation win the arena alone accounts for.
-	ModeAllocRatio float64 `json:"mode_alloc_ratio"`
 }
 
 // seedAllocsPerOp is the measured allocs-per-op of a repeated, steady-state
@@ -88,12 +60,15 @@ type hotConfig struct {
 // and "after" runs the dimension-specialized kernels with a warmed arena
 // (the steady state of repeated Clusterer.Run). Results of both modes are
 // asserted identical on every configuration. With -json it records
-// BENCH_hot.json.
+// BENCH_hot.json: before/after clustering-phase latency and allocations per
+// configuration over prebuilt cells (grid construction is paid once per
+// Clusterer, not per run, so it is excluded).
 func expHot(o options) {
 	const minPts = 100
 	threads := effectiveThreads(o.threads)
 	ex := parallel.NewPool(o.threads)
-	rep := hotReport{Seed: o.seed, Threads: threads}
+	rep := benchreport.New("hot", threads, map[string]any{"n": o.n, "seed": o.seed, "min_pts": minPts})
+	var runs []hotRun
 
 	matrix := []hotConfig{
 		{name: "2d-grid-bcp", d: 2, scale: 1, mark: core.MarkScan, graph: core.GraphBCP},
@@ -127,11 +102,7 @@ func expHot(o options) {
 			shuffleRows(pts, uint64(o.seed))
 			eps := hotEps(hc.d)
 			cells = grid.BuildGrid(ex, pts, eps)
-			if pts.D <= 3 {
-				cells.ComputeNeighborsEnum(ex)
-			} else {
-				cells.ComputeNeighborsKD(ex)
-			}
+			cells.ComputeNeighbors(ex)
 			cellCache[key] = cells
 		}
 
@@ -146,15 +117,22 @@ func expHot(o options) {
 		}
 		before.Method, before.D, before.N, before.Mode = hc.name, hc.d, n, "before"
 		after.Method, after.D, after.N, after.Mode = hc.name, hc.d, n, "after"
-		rep.Runs = append(rep.Runs, before, after)
+		runs = append(runs, before, after)
 
 		speedup := float64(before.NsPerOp) / float64(after.NsPerOp)
 		ratio := before.AllocsPerOp / after.AllocsPerOp
 		if hc.name == "2d-grid-bcp" {
-			rep.Headline2DGridSpeedup = speedup
-			rep.SeedAllocsPerOp = seedAllocsPerOp
-			rep.HeadlineAllocRatio = seedAllocsPerOp / after.AllocsPerOp
-			rep.ModeAllocRatio = ratio
+			// The headline configuration: the paper's fastest 2D method at the
+			// full point count, the hot path the kernels and arena target.
+			// The alloc ratio is against the pinned seed measurement (see
+			// seedAllocsPerOp): the in-run "before" mode cannot reproduce the
+			// seed's per-pair and per-cell allocations, which were removed
+			// structurally, not by a toggle. mode_alloc_ratio is the in-run
+			// before/after ratio, the part the arena alone accounts for.
+			rep.Metrics["headline_2d_grid_speedup"] = speedup
+			rep.Metrics["seed_allocs_per_op"] = seedAllocsPerOp
+			rep.Metrics["headline_alloc_ratio"] = seedAllocsPerOp / after.AllocsPerOp
+			rep.Metrics["mode_alloc_ratio"] = ratio
 		}
 		tbl.add(hc.name, fmt.Sprint(hc.d), fmt.Sprint(n),
 			fmtDur(time.Duration(before.NsPerOp)), fmtDur(time.Duration(after.NsPerOp)),
@@ -163,13 +141,11 @@ func expHot(o options) {
 			fmt.Sprintf("%.1fx", ratio))
 	}
 	tbl.print()
+	m := rep.Metrics
 	fmt.Printf("\nheadline (2d-grid-bcp, n=%d): %.2fx clustering-phase speedup; %.0fx fewer allocs/op than the seed implementation (%.0f -> measured above), %.1fx vs the in-run generic/unpooled mode\n",
-		o.n, rep.Headline2DGridSpeedup, rep.HeadlineAllocRatio, rep.SeedAllocsPerOp, rep.ModeAllocRatio)
-
-	if o.jsonPath != "" {
-		writeJSON(o.jsonPath, rep)
-		fmt.Printf("wrote %s\n", o.jsonPath)
-	}
+		o.n, m["headline_2d_grid_speedup"], m["headline_alloc_ratio"], m["seed_allocs_per_op"], m["mode_alloc_ratio"])
+	rep.Rows["runs"] = runs
+	writeReport(o, rep)
 }
 
 // shuffleRows deterministically permutes the dataset's row order

@@ -8,43 +8,17 @@ import (
 	"time"
 
 	"pdbscan"
+	"pdbscan/internal/benchreport"
 )
-
-// oocReport is the BENCH_ooc.json schema: one out-of-core Spill run against
-// the in-RAM run of the identical dataset, with the engine's residency
-// accounting and an informational whole-process peak RSS. benchgate -ooc
-// hard-gates LabelsPermEqual, the dataset-vs-budget ratio, and
-// PeakResidentBytes <= 1.25x budget; the wall-clock ratio is a soft check.
-//
-// PeakResidentBytes counts what MaxResidentBytes bounds: the largest single
-// point-data window mapped at once. O(n) bookkeeping (labels, core flags,
-// union-find, store metadata) stays heap-resident outside the budget —
-// PeakRSSBytes is reported so that gap is visible, not hidden.
-type oocReport struct {
-	Experiment         string  `json:"experiment"`
-	Dataset            string  `json:"dataset"`
-	N                  int     `json:"n"`
-	Dims               int     `json:"dims"`
-	Eps                float64 `json:"eps"`
-	MinPts             int     `json:"min_pts"`
-	Threads            int     `json:"threads"`
-	Seed               int64   `json:"seed"`
-	Shards             int     `json:"shards"`
-	DatasetBytes       int64   `json:"dataset_bytes"`
-	BudgetBytes        int64   `json:"budget_bytes"`
-	InRAMWallNS        int64   `json:"in_ram_wall_ns"`
-	OOCWallNS          int64   `json:"ooc_wall_ns"`
-	BytesMapped        int64   `json:"bytes_mapped"`
-	PeakResidentBytes  int64   `json:"peak_resident_bytes"`
-	ShardsResidentPeak int     `json:"shards_resident_peak"`
-	PeakRSSBytes       int64   `json:"peak_rss_bytes"`
-	LabelsPermEqual    bool    `json:"labels_perm_equal"`
-	NumClusters        int     `json:"num_clusters"`
-}
 
 // expOoc measures the out-of-core path end to end: write the dataset to a
 // cell store, rerun with Spill under a residency budget of one quarter of the
 // point payload, and compare wall clock and labels against the in-RAM run.
+//
+// peak_resident_bytes counts what MaxResidentBytes bounds: the largest single
+// point-data window mapped at once. O(n) bookkeeping (labels, core flags,
+// union-find, store metadata) stays heap-resident outside the budget;
+// peak_rss_bytes is reported so that gap is visible, not hidden.
 func expOoc(o options) {
 	const dsName, eps, minPts = "uniform-2d", 2.0, 10
 	pts := loadDataset(dsName, o.n, o.seed)
@@ -96,21 +70,27 @@ func expOoc(o options) {
 	permEqual := labelsPermEqual(want.Labels, got.Labels) &&
 		boolsEqual(want.Core, got.Core) && want.NumClusters == got.NumClusters
 
-	rep := oocReport{
-		Experiment: "ooc", Dataset: dsName,
-		N: pts.N, Dims: pts.D, Eps: eps, MinPts: minPts,
-		Threads: effectiveThreads(o.threads), Seed: o.seed,
-		Shards:             stats.Shards,
-		DatasetBytes:       datasetBytes,
-		BudgetBytes:        budget,
-		InRAMWallNS:        ramWall.Nanoseconds(),
-		OOCWallNS:          oocWall.Nanoseconds(),
-		BytesMapped:        stats.BytesMapped,
-		PeakResidentBytes:  stats.PeakResidentBytes,
-		ShardsResidentPeak: stats.ShardsResidentPeak,
-		PeakRSSBytes:       peakRSSBytes(),
-		LabelsPermEqual:    permEqual,
-		NumClusters:        got.NumClusters,
+	rep := benchreport.New("ooc", effectiveThreads(o.threads), map[string]any{
+		"dataset": dsName, "n": pts.N, "d": pts.D, "eps": eps, "min_pts": minPts, "seed": o.seed,
+	})
+	rep.Metrics = map[string]float64{
+		"shards":               float64(stats.Shards),
+		"dataset_bytes":        float64(datasetBytes),
+		"budget_bytes":         float64(budget),
+		"in_ram_wall_ns":       float64(ramWall.Nanoseconds()),
+		"ooc_wall_ns":          float64(oocWall.Nanoseconds()),
+		"bytes_mapped":         float64(stats.BytesMapped),
+		"peak_resident_bytes":  float64(stats.PeakResidentBytes),
+		"shards_resident_peak": float64(stats.ShardsResidentPeak),
+		"peak_rss_bytes":       float64(peakRSSBytes()),
+		"labels_perm_equal":    benchreport.Bool(permEqual),
+		"num_clusters":         float64(got.NumClusters),
+		// The gated ratios: the dataset must dwarf the budget, the peak
+		// window stay within it (up to the halo slack), and the spill run's
+		// wall clock stay within a soft multiple of the in-RAM run.
+		"dataset_budget_ratio": float64(datasetBytes) / float64(budget),
+		"peak_window_ratio":    float64(stats.PeakResidentBytes) / float64(budget),
+		"wall_ratio":           float64(oocWall) / float64(ramWall),
 	}
 
 	tbl := newTable(fmt.Sprintf("out-of-core vs in-RAM: %s n=%d eps=%g minPts=%d budget=%s",
@@ -121,17 +101,12 @@ func expOoc(o options) {
 		fmtBytes(stats.PeakResidentBytes), fmtBytes(stats.BytesMapped), fmt.Sprint(got.NumClusters))
 	tbl.print()
 	fmt.Printf("dataset %s = %.1fx budget; peak window %.2fx budget; widest halo %d/%d shards; labels perm-equal: %v\n",
-		fmtBytes(datasetBytes), float64(datasetBytes)/float64(budget),
-		float64(stats.PeakResidentBytes)/float64(budget),
+		fmtBytes(datasetBytes), rep.Metrics["dataset_budget_ratio"], rep.Metrics["peak_window_ratio"],
 		stats.ShardsResidentPeak, stats.Shards, permEqual)
 	if !permEqual {
 		fatalf("ooc: spill labels diverged from the in-RAM run")
 	}
-
-	if o.jsonPath != "" {
-		writeJSON(o.jsonPath, rep)
-		fmt.Printf("wrote %s\n", o.jsonPath)
-	}
+	writeReport(o, rep)
 }
 
 // labelsPermEqual reports whether two labelings agree up to a bijection of

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pdbscan"
+	"pdbscan/internal/benchreport"
 	"pdbscan/internal/metrics"
 )
 
@@ -13,7 +14,7 @@ import (
 // each swept worker count on a shared prepared Clusterer.
 type scaleSeries struct {
 	Method string `json:"method"`
-	// ThreadNS[i] is the measured run at ThreadSweep[i] workers (GOMAXPROCS
+	// ThreadNS[i] is the measured run at thread_sweep[i] workers (GOMAXPROCS
 	// pinned to the same count, so the runtime really uses that many CPUs).
 	ThreadNS []int64 `json:"thread_ns"`
 	// SelfSpeedup[i] = ThreadNS[0] / ThreadNS[i] (1-worker run of this series
@@ -50,35 +51,19 @@ type sampledRow struct {
 	SampledClusters int `json:"sampled_clusters"`
 }
 
-// scaleReport is the BENCH_scale.json schema: multi-core scaling curves per
-// method, plus the sampled-core accuracy/speedup trade-off rows benchgate
-// -scale gates. NumCPU is recorded so the gate can tell a regression from a
-// machine that cannot scale (one hardware CPU).
-type scaleReport struct {
-	Dataset string  `json:"dataset"`
-	N       int     `json:"n"`
-	D       int     `json:"d"`
-	Eps     float64 `json:"eps"`
-	MinPts  int     `json:"min_pts"`
-	Seed    int64   `json:"seed"`
-	NumCPU  int     `json:"num_cpu"`
-
-	ThreadSweep      []int         `json:"thread_sweep"`
-	BestSerialNS     int64         `json:"best_serial_ns"`
-	BestSerialMethod string        `json:"best_serial_method"`
-	Series           []scaleSeries `json:"series"`
-	// TopSelfSpeedup is the best self-relative speedup at the top of the
-	// sweep across all series — the headline the scaling floor gates (skipped
-	// when NumCPU == 1: a single hardware CPU cannot speed itself up).
-	TopSelfSpeedup float64 `json:"top_self_speedup"`
-
-	Sampled []sampledRow `json:"sampled"`
-}
+// Sampled-core acceptance, per dataset: among the rows at a sample fraction
+// <= sampledMaxFrac, the accurate ones (ARI >= sampledMinARI vs exact) must
+// include one that clusters >= 2x faster. The report emits, per dataset, the
+// accurate-row count and the best accurate speedup for cmd/benchgate to gate.
+const (
+	sampledMaxFrac = 0.1
+	sampledMinARI  = 0.95
+)
 
 // expScale measures multi-core scaling (1..NumCPU workers, self-relative and
 // vs the best serial run) and the sampled-core
 // approximate mode (DBSCAN++: speedup and ARI/NMI vs exact per dataset).
-// With -json it records BENCH_scale.json for cmd/benchgate -scale.
+// With -json it records BENCH_scale.json.
 func expScale(o options) {
 	const eps, minPts = 1000.0, 100
 	pts := loadDataset("ss-varden-2d", o.n, o.seed)
@@ -91,11 +76,11 @@ func expScale(o options) {
 		sweep = append(sweep, sweep[len(sweep)-1]*2)
 	}
 
-	rep := scaleReport{
-		Dataset: "ss-varden-2d", N: pts.N, D: pts.D,
-		Eps: eps, MinPts: minPts, Seed: o.seed,
-		NumCPU: runtime.NumCPU(), ThreadSweep: sweep,
-	}
+	rep := benchreport.New("scale", effectiveThreads(o.threads), map[string]any{
+		"dataset": "ss-varden-2d", "n": pts.N, "d": pts.D, "eps": eps, "min_pts": minPts, "seed": o.seed,
+		"thread_sweep": sweep,
+	})
+	rep.Metrics["thread_counts"] = float64(len(sweep))
 
 	c, err := pdbscan.NewClustererFlat(pts.Data, pts.D, eps)
 	if err != nil {
@@ -125,8 +110,11 @@ func expScale(o options) {
 	methods := []pdbscan.Method{pdbscan.Method2DGridBCP, pdbscan.MethodExact}
 
 	tbl := newTable(fmt.Sprintf("multi-core scaling (clustering phase): n=%d eps=%g minPts=%d numCPU=%d",
-		pts.N, eps, minPts, rep.NumCPU),
+		pts.N, eps, minPts, rep.Host.NumCPU),
 		"method", "threads", "run", "self-speedup")
+	var series []scaleSeries
+	var bestSerialNS int64
+	var bestSerialMethod string
 	for _, m := range methods {
 		s := scaleSeries{Method: string(m)}
 		for _, th := range sweep {
@@ -139,32 +127,46 @@ func expScale(o options) {
 		for _, ns := range s.ThreadNS {
 			s.SelfSpeedup = append(s.SelfSpeedup, float64(s.ThreadNS[0])/float64(ns))
 		}
-		if rep.BestSerialNS == 0 || s.ThreadNS[0] < rep.BestSerialNS {
-			rep.BestSerialNS = s.ThreadNS[0]
-			rep.BestSerialMethod = string(m)
+		if bestSerialNS == 0 || s.ThreadNS[0] < bestSerialNS {
+			bestSerialNS, bestSerialMethod = s.ThreadNS[0], string(m)
 		}
-		rep.Series = append(rep.Series, s)
+		series = append(series, s)
 	}
-	for i := range rep.Series {
-		s := &rep.Series[i]
+	// top_self_speedup is the best self-relative speedup at the top of the
+	// sweep across all series: the headline the scaling floor gates (skipped
+	// when num_cpu is 1, since one hardware CPU cannot speed itself up).
+	var topSelf float64
+	for i := range series {
+		s := &series[i]
 		for _, ns := range s.ThreadNS {
-			s.VsBestSerial = append(s.VsBestSerial, float64(rep.BestSerialNS)/float64(ns))
+			s.VsBestSerial = append(s.VsBestSerial, float64(bestSerialNS)/float64(ns))
 		}
-		if top := s.SelfSpeedup[len(s.SelfSpeedup)-1]; top > rep.TopSelfSpeedup {
-			rep.TopSelfSpeedup = top
-		}
+		topSelf = max(topSelf, s.SelfSpeedup[len(s.SelfSpeedup)-1])
 	}
 	tbl.print()
 	fmt.Printf("\nbest serial: %s at %v; top self-relative speedup at %d threads: %.2fx (numCPU=%d)\n",
-		rep.BestSerialMethod, time.Duration(rep.BestSerialNS).Round(time.Millisecond),
-		sweep[len(sweep)-1], rep.TopSelfSpeedup, rep.NumCPU)
+		bestSerialMethod, time.Duration(bestSerialNS).Round(time.Millisecond),
+		sweep[len(sweep)-1], topSelf, rep.Host.NumCPU)
+	rep.Params["best_serial_method"] = bestSerialMethod
+	rep.Metrics["best_serial_ns"] = float64(bestSerialNS)
+	rep.Metrics["top_self_speedup"] = topSelf
 
-	rep.Sampled = sampledRows(o)
-
-	if o.jsonPath != "" {
-		writeJSON(o.jsonPath, rep)
-		fmt.Printf("wrote %s\n", o.jsonPath)
+	sampled := sampledRows(o)
+	rep.Metrics["sampled_rows"] = 0
+	for _, row := range sampled {
+		if row.Frac > sampledMaxFrac {
+			continue
+		}
+		rep.Metrics["sampled_rows"]++
+		accurate := row.ARI >= sampledMinARI
+		rep.Metrics["sampled_accurate_rows."+row.Dataset] += benchreport.Bool(accurate)
+		if accurate {
+			best := "sampled_best_speedup." + row.Dataset
+			rep.Metrics[best] = max(rep.Metrics[best], row.Speedup)
+		}
 	}
+	rep.Rows["series"], rep.Rows["sampled"] = series, sampled
+	writeReport(o, rep)
 }
 
 // sampledRows measures the DBSCAN++ trade-off on the varden datasets: the

@@ -10,57 +10,20 @@ import (
 
 	"pdbscan"
 	"pdbscan/engine"
+	"pdbscan/internal/benchreport"
 )
-
-// serveReport is the BENCH_serve.json schema: the serving-path guarantees of
-// the cancellable execution stack, measured — how fast a heavy run unwinds
-// when its context is cancelled mid-ClusterCore, whether the owning
-// Clusterer's next run is unaffected, and how the Engine behaves under mixed
-// concurrent jobs on one shared budget. cmd/benchgate gates the latency and
-// the two boolean invariants.
-type serveReport struct {
-	N       int     `json:"n"`
-	Eps     float64 `json:"eps"`
-	MinPts  int     `json:"min_pts"`
-	Threads int     `json:"threads"`
-
-	// Cancellation latency: time from cancel() to RunContext returning
-	// context.Canceled, cancelled mid-ClusterCore (after MarkCore's share of
-	// the baseline run, halfway into the clustering phase).
-	CancelTrialsNS      []int64 `json:"cancel_trials_ns"`
-	CancelLatencyP50NS  int64   `json:"cancel_latency_p50_ns"`
-	CancelLatencyMaxNS  int64   `json:"cancel_latency_max_ns"`
-	CancelledMidCluster int     `json:"cancelled_mid_cluster"` // trials that returned Canceled
-	// RecoveredEqual: after every cancelled run, the very next uncancelled
-	// RunContext on the same Clusterer was label-permutation-equal to the
-	// monolithic baseline.
-	RecoveredEqual bool `json:"recovered_equal"`
-
-	// Engine throughput under mixed concurrent jobs (batch + streaming,
-	// distinct Workers caps) on one shared budget.
-	EngineBudget          int     `json:"engine_budget"`
-	EngineJobs            int     `json:"engine_jobs"`
-	EngineCompleted       int     `json:"engine_completed"`
-	EngineCancelled       int     `json:"engine_cancelled"` // deadline jobs, by design
-	EngineWallNS          int64   `json:"engine_wall_ns"`
-	EngineJobsPerSec      float64 `json:"engine_jobs_per_sec"`
-	EngineMaxWorkersInUse int     `json:"engine_max_workers_in_use"`
-	// BudgetConformant: the sampled WorkersInUse never exceeded the budget.
-	BudgetConformant bool `json:"budget_conformant"`
-}
 
 // expServe measures the serving-path behavior recorded in BENCH_serve.json:
 // cancellation latency mid-ClusterCore on an o.n-point run (the acceptance
 // floor is measured at 1M), recovery equality, and Engine throughput under
-// mixed concurrent jobs.
+// mixed concurrent jobs. cmd/benchgate gates the latency and the two boolean
+// invariants (recovered_equal, budget_conformant).
 func expServe(o options) {
 	const eps, minPts = 1000.0, 100
 	pts := loadDataset("ss-varden-2d", o.n, o.seed)
-	threads := effectiveThreads(o.threads)
-	rep := serveReport{
-		N: pts.N, Eps: eps, MinPts: minPts, Threads: threads,
-		RecoveredEqual: true,
-	}
+	rep := benchreport.New("serve", effectiveThreads(o.threads), map[string]any{
+		"dataset": "ss-varden-2d", "n": pts.N, "seed": o.seed, "eps": eps, "min_pts": minPts,
+	})
 	cfg := pdbscan.Config{MinPts: minPts, Workers: o.threads}
 
 	c, err := pdbscan.NewClustererFlat(pts.Data, pts.D, eps)
@@ -81,7 +44,11 @@ func expServe(o options) {
 
 	// Cancellation latency: cancel each trial midway into ClusterCore (after
 	// the baseline's MarkCore duration plus half its ClusterCore duration)
-	// and measure cancel -> return.
+	// and measure cancel -> return (context.Canceled). recovered: after
+	// every cancelled run, the very next uncancelled RunContext on the same
+	// Clusterer was label-permutation-equal to the monolithic baseline.
+	var trialsNS []int64
+	recovered := true
 	cancelAt := stats.MarkCore + stats.ClusterCore/2
 	const trials = 5
 	tbl := newTable(fmt.Sprintf("cancellation latency: n=%d, cancel at +%v (mid-ClusterCore)", pts.N, cancelAt.Round(time.Millisecond)),
@@ -105,8 +72,7 @@ func expServe(o options) {
 			}
 			outcome = "context.Canceled"
 			latency = ret.Sub(<-cancelled)
-			rep.CancelTrialsNS = append(rep.CancelTrialsNS, latency.Nanoseconds())
-			rep.CancelledMidCluster++
+			trialsNS = append(trialsNS, latency.Nanoseconds())
 		}
 		// The very next uncancelled run must match the baseline exactly.
 		next, err := c.RunContext(context.Background(), cfg)
@@ -114,42 +80,40 @@ func expServe(o options) {
 			fatalf("serve: run after cancel: %v", err)
 		}
 		equal := permutationEqual(next, baseline)
-		if !equal {
-			rep.RecoveredEqual = false
-		}
+		recovered = recovered && equal
 		tbl.add(fmt.Sprint(trial), outcome, latency.Round(time.Microsecond).String(), fmt.Sprint(equal))
 	}
 	tbl.print()
-	if len(rep.CancelTrialsNS) > 0 {
-		sorted := append([]int64(nil), rep.CancelTrialsNS...)
+	rep.Metrics["recovered_equal"] = benchreport.Bool(recovered)
+	rep.Metrics["cancelled_mid_cluster"] = float64(len(trialsNS))
+	rep.Rows["cancel_trials_ns"] = trialsNS
+	var p50, maxNS int64
+	if len(trialsNS) > 0 {
+		sorted := append([]int64(nil), trialsNS...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		rep.CancelLatencyP50NS = sorted[len(sorted)/2]
-		rep.CancelLatencyMaxNS = sorted[len(sorted)-1]
+		p50, maxNS = sorted[len(sorted)/2], sorted[len(sorted)-1]
 		fmt.Printf("\ncancel latency: p50 %v, max %v over %d mid-run cancellations (floor: 50ms)\n",
-			time.Duration(rep.CancelLatencyP50NS).Round(time.Microsecond),
-			time.Duration(rep.CancelLatencyMaxNS).Round(time.Microsecond),
-			rep.CancelledMidCluster)
+			time.Duration(p50).Round(time.Microsecond),
+			time.Duration(maxNS).Round(time.Microsecond), len(trialsNS))
 	} else {
 		fmt.Println("\nno trial was cancelled mid-run (dataset too small for the cancel point)")
 	}
+	rep.Metrics["cancel_latency_p50_ns"] = float64(p50)
+	rep.Metrics["cancel_latency_max_ns"] = float64(maxNS)
 
-	runEngineThroughput(o, &rep)
-
-	if o.jsonPath != "" {
-		writeJSON(o.jsonPath, rep)
-		fmt.Printf("wrote %s\n", o.jsonPath)
-	}
+	runEngineThroughput(o, rep)
+	writeReport(o, rep)
 }
 
 // runEngineThroughput pushes mixed concurrent jobs (batch sweeps with
 // distinct Workers caps, streaming ticks, and deadline-bounded jobs) through
-// one Engine and records throughput and budget conformance.
-func runEngineThroughput(o options, rep *serveReport) {
-	budget := rep.Threads
+// one Engine and records throughput and budget conformance (the sampled
+// WorkersInUse never exceeded the budget).
+func runEngineThroughput(o options, rep *benchreport.Report) {
+	budget := rep.Host.Threads
 	e := engine.New(engine.Options{Budget: budget, MaxQueue: 256})
 	defer e.Close()
-	rep.EngineBudget = budget
-	rep.BudgetConformant = true
+	var jobsTotal, completed, cancelled int
 
 	// Job targets: three batch clusterers and a streaming window, each a
 	// tenth of the headline size.
@@ -230,8 +194,8 @@ func runEngineThroughput(o options, rep *serveReport) {
 		case err == nil:
 			jobs = append(jobs, j)
 		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			rep.EngineCancelled++
-			rep.EngineJobs++ // never entered the jobs slice; count it here
+			cancelled++
+			jobsTotal++ // never entered the jobs slice; count it here
 		default:
 			fatalf("serve: submit deadline job: %v", err)
 		}
@@ -240,9 +204,9 @@ func runEngineThroughput(o options, rep *serveReport) {
 		err := j.Err()
 		switch {
 		case err == nil:
-			rep.EngineCompleted++
+			completed++
 		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			rep.EngineCancelled++
+			cancelled++
 		default:
 			fatalf("serve: engine job failed: %v", err)
 		}
@@ -252,19 +216,23 @@ func runEngineThroughput(o options, rep *serveReport) {
 	for _, cancel := range ctxs {
 		cancel()
 	}
-	// EngineJobs already counts deadline jobs rejected at Submit; keep the
+	// jobsTotal already counts deadline jobs rejected at Submit; keep the
 	// throughput figure on the same population so the report reconciles.
-	rep.EngineJobs += len(jobs)
-	rep.EngineWallNS = wall.Nanoseconds()
-	rep.EngineJobsPerSec = float64(rep.EngineJobs) / wall.Seconds()
-	rep.EngineMaxWorkersInUse = int(maxInUse.Load())
-	if violated.Load() > 0 {
-		rep.BudgetConformant = false
-	}
+	jobsTotal += len(jobs)
+	jobsPerSec := float64(jobsTotal) / wall.Seconds()
+	conformant := violated.Load() == 0
+	m := rep.Metrics
+	m["engine_budget"] = float64(budget)
+	m["engine_jobs"] = float64(jobsTotal)
+	m["engine_completed"] = float64(completed)
+	m["engine_cancelled"] = float64(cancelled)
+	m["engine_wall_ns"] = float64(wall.Nanoseconds())
+	m["engine_jobs_per_sec"] = jobsPerSec
+	m["engine_max_workers_in_use"] = float64(maxInUse.Load())
+	m["budget_conformant"] = benchreport.Bool(conformant)
 	fmt.Printf("\nengine: %d mixed jobs (%d completed, %d deadline-cancelled) in %v -> %.1f jobs/s; budget %d, max in use %d, conformant %v\n",
-		rep.EngineJobs, rep.EngineCompleted, rep.EngineCancelled,
-		wall.Round(time.Millisecond), rep.EngineJobsPerSec,
-		rep.EngineBudget, rep.EngineMaxWorkersInUse, rep.BudgetConformant)
+		jobsTotal, completed, cancelled, wall.Round(time.Millisecond), jobsPerSec,
+		budget, maxInUse.Load(), conformant)
 }
 
 // permutationEqual reports label-permutation equality of two results (core

@@ -1,13 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
 	"time"
 
 	"pdbscan"
+	"pdbscan/internal/benchreport"
 	"pdbscan/internal/dataset"
 )
 
@@ -20,29 +20,9 @@ type streamTick struct {
 	Clusters      int   `json:"clusters"`
 }
 
-// streamReport is the BENCH_stream.json schema: the per-tick latency of the
-// incremental streaming path vs from-scratch re-clustering of the same
-// window, plus from-scratch timings of the standard methods on the final
-// window so one file tracks the whole perf trajectory.
-type streamReport struct {
-	Dataset       string           `json:"dataset"`
-	Window        int              `json:"window"`
-	Batch         int              `json:"batch"`
-	Eps           float64          `json:"eps"`
-	MinPts        int              `json:"min_pts"`
-	Threads       int              `json:"threads"`
-	Ticks         []streamTick     `json:"ticks"`
-	IncMeanNS     int64            `json:"incremental_mean_ns"`
-	IncP95NS      int64            `json:"incremental_p95_ns"`
-	ScratchMeanNS int64            `json:"scratch_mean_ns"`
-	Speedup       float64          `json:"speedup"`
-	DirtyFrac     float64          `json:"dirty_cell_fraction"`
-	Methods       map[string]int64 `json:"method_scratch_ns"`
-}
-
 // expStream replays a sliding window over the drift-2d stream, measuring the
 // per-tick latency of StreamingClusterer.Run against from-scratch Cluster on
-// the identical window, and (with -json) records the report.
+// the identical window, and (with -json) records BENCH_stream.json.
 func expStream(o options) {
 	window := o.n / 5
 	if window < 2000 {
@@ -70,11 +50,11 @@ func expStream(o options) {
 		fatalf("stream: %v", err)
 	}
 
-	rep := streamReport{
-		Dataset: "drift-2d", Window: window, Batch: batch,
-		Eps: eps, MinPts: minPts, Threads: effectiveThreads(o.threads),
-		Methods: map[string]int64{},
-	}
+	rep := benchreport.New("stream", effectiveThreads(o.threads), map[string]any{
+		"dataset": "drift-2d", "n": o.n, "seed": o.seed,
+		"window": window, "batch": batch, "eps": eps, "min_pts": minPts,
+	})
+	var tickRows []streamTick
 	tbl := newTable(fmt.Sprintf("streaming ticks: window=%d batch=%d eps=%g minPts=%d", window, batch, eps, minPts),
 		"tick", "dirty/cells", "incremental", "scratch", "speedup")
 	next := window
@@ -109,7 +89,7 @@ func expStream(o options) {
 
 		incSum += incDur
 		scrSum += scrDur
-		rep.Ticks = append(rep.Ticks, streamTick{
+		tickRows = append(tickRows, streamTick{
 			IncrementalNS: incDur.Nanoseconds(),
 			ScratchNS:     scrDur.Nanoseconds(),
 			Cells:         stats.NumCells,
@@ -124,23 +104,28 @@ func expStream(o options) {
 	}
 	tbl.print()
 
-	rep.IncMeanNS = incSum.Nanoseconds() / int64(ticks)
-	rep.ScratchMeanNS = scrSum.Nanoseconds() / int64(ticks)
-	rep.Speedup = float64(rep.ScratchMeanNS) / float64(rep.IncMeanNS)
+	incMean := incSum.Nanoseconds() / int64(ticks)
+	scratchMean := scrSum.Nanoseconds() / int64(ticks)
+	speedup := float64(scratchMean) / float64(incMean)
 	incNS := make([]int64, 0, ticks)
 	dirtySum, cellSum := 0, 0
-	for _, tk := range rep.Ticks {
+	for _, tk := range tickRows {
 		incNS = append(incNS, tk.IncrementalNS)
 		dirtySum += tk.DirtyCells
 		cellSum += tk.Cells
 	}
 	sort.Slice(incNS, func(i, j int) bool { return incNS[i] < incNS[j] })
-	rep.IncP95NS = incNS[(len(incNS)*95)/100]
-	rep.DirtyFrac = float64(dirtySum) / float64(cellSum)
+	dirtyFrac := float64(dirtySum) / float64(cellSum)
+	rep.Metrics["incremental_mean_ns"] = float64(incMean)
+	rep.Metrics["incremental_p95_ns"] = float64(incNS[(len(incNS)*95)/100])
+	rep.Metrics["scratch_mean_ns"] = float64(scratchMean)
+	rep.Metrics["speedup"] = speedup
+	rep.Metrics["dirty_cell_fraction"] = dirtyFrac
+	rep.Rows["ticks"] = tickRows
 	fmt.Printf("\nmean tick: incremental %v vs scratch %v -> %.2fx speedup at %.1f%% dirty cells\n",
-		time.Duration(rep.IncMeanNS).Round(time.Microsecond),
-		time.Duration(rep.ScratchMeanNS).Round(time.Microsecond),
-		rep.Speedup, 100*rep.DirtyFrac)
+		time.Duration(incMean).Round(time.Microsecond),
+		time.Duration(scratchMean).Round(time.Microsecond),
+		speedup, 100*dirtyFrac)
 
 	// From-scratch timings of the standard methods on the final window, so
 	// the JSON also tracks the non-streaming perf trajectory.
@@ -156,23 +141,20 @@ func expStream(o options) {
 		}); err != nil {
 			fatalf("stream: %v", err)
 		}
-		rep.Methods[string(m)] = time.Since(start).Nanoseconds()
+		rep.Metrics["method_scratch_ns."+string(m)] = float64(time.Since(start).Nanoseconds())
 	}
-
-	if o.jsonPath != "" {
-		writeJSON(o.jsonPath, rep)
-		fmt.Printf("wrote %s\n", o.jsonPath)
-	}
+	writeReport(o, rep)
 }
 
-func writeJSON(path string, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fatalf("json: %v", err)
+// writeReport writes rep to the -json path, when one was given.
+func writeReport(o options, rep *benchreport.Report) {
+	if o.jsonPath == "" {
+		return
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatalf("json: %v", err)
+	if err := benchreport.Write(o.jsonPath, rep); err != nil {
+		fatalf("%v", err)
 	}
+	fmt.Printf("wrote %s\n", o.jsonPath)
 }
 
 func fatalf(format string, args ...any) {

@@ -351,11 +351,7 @@ func FuzzClusterOracleND(f *testing.F) {
 			cells.ComputeNeighborsBox2D(nil)
 		} else {
 			cells = grid.BuildGrid(nil, pts, eps)
-			if d <= 3 {
-				cells.ComputeNeighborsEnum(nil)
-			} else {
-				cells.ComputeNeighborsKD(nil)
-			}
+			cells.ComputeNeighbors(nil)
 		}
 		res, err := core.Run(cells, core.Params{MinPts: minPts, Rho: m.rho, Mark: m.mark, Graph: m.graph})
 		if err != nil {

@@ -258,11 +258,7 @@ func (r *oocRun) openTurn(s int) (*oocTurn, error) {
 		}
 	}
 	cells := grid.BuildCellMajor(ex, pts, store.Eps(), cellStart, abs)
-	if d <= 3 {
-		cells.ComputeNeighborsEnum(ex)
-	} else {
-		cells.ComputeNeighborsKD(ex)
-	}
+	cells.ComputeNeighbors(ex)
 	t.cells = cells
 
 	// Local cell ids are store order: the translations are identity/offset.

@@ -28,11 +28,7 @@ func snapshotMatchesBuildGrid(t *testing.T, dy *Dynamic, live []int32) {
 		data = append(data, dy.PointAt(p)...)
 	}
 	ref := BuildGrid(nil, geom.Points{N: len(live), D: d, Data: data}, dy.Eps())
-	if d <= 3 {
-		ref.ComputeNeighborsEnum(nil)
-	} else {
-		ref.ComputeNeighborsKD(nil)
-	}
+	ref.ComputeNeighbors(nil)
 
 	// Map each live point to its reference cell via absolute coordinates and
 	// check the snapshot agrees cell-for-cell.

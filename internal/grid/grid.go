@@ -530,6 +530,18 @@ func (c *Cells) enumNeighborsOf(abs []int64, exclude int32) []int32 {
 	return nbrs
 }
 
+// ComputeNeighbors fills Neighbors for the grid construction: offset
+// enumeration for d <= 3, where it is cheap, and the k-d tree above, once
+// the (2*ceil(sqrt(d))+1)^d candidate offsets explode (Section 5.1). Both
+// yield identical neighbor sets.
+func (c *Cells) ComputeNeighbors(ex *parallel.Pool) {
+	if c.Pts.D <= 3 {
+		c.ComputeNeighborsEnum(ex)
+	} else {
+		c.ComputeNeighborsKD(ex)
+	}
+}
+
 // ComputeNeighborsEnum fills Neighbors by offset enumeration — the
 // constant-work-per-cell method the 2D algorithms use (Section 4.1). Only
 // valid for the grid construction.
