@@ -366,7 +366,7 @@ func TestRunStatsRecorded(t *testing.T) {
 		t.Fatalf("Workers = %d", st.Workers)
 	}
 	if st.Shards != 1 {
-		t.Fatalf("Shards = %d, want 1 outside Spill runs", st.Shards)
+		t.Fatalf("Shards = %d, want 1 on an in-memory Clusterer", st.Shards)
 	}
 	// A cancelled run must not overwrite the stats.
 	ctx, cancel := context.WithCancel(context.Background())

@@ -53,21 +53,20 @@ type Clusterer struct {
 	// hiers caches one Hierarchy per MinPts (hierarchies depend only on the
 	// points, eps, and MinPts). Entries follow the lazyCells discipline —
 	// cancelled builds are discarded, never latched.
-	hierMu   sync.Mutex
-	hiers    map[int]*lazyHierarchy
-	hierHook func(phase string) // test seam: forwarded as the build's PhaseHook
+	hierMu sync.Mutex
+	hiers  map[int]*lazyHierarchy
+
+	phaseHook func(phase string) // test seam: forwarded as every run's and build's PhaseHook
 
 	statsMu   sync.Mutex
 	lastStats RunStats
 
 	// store, when non-nil, backs this Clusterer with an on-disk cell store
-	// (OpenStoreClusterer): Spill runs stream it window by window, the
-	// in-RAM paths address the whole payload through storeMap (created
-	// lazily, resident on demand via the page cache), and every result is
-	// scattered back to the writing Clusterer's point order.
-	store    *cellstore.Store
-	storeMu  sync.Mutex
-	storeMap *cellstore.Mapping
+	// (OpenStoreClusterer): every run streams it window by window through
+	// core.RunOutOfCore, each window mapping at most maxResident bytes (0:
+	// no budget). pts then carries only N and D.
+	store       *cellstore.Store
+	maxResident int64
 
 	builds atomic.Int32 // number of completed cell-structure builds (for tests)
 }
@@ -303,7 +302,8 @@ func (c *Clusterer) sampleFor(cfg *Config, ex *parallel.Pool) ([]bool, error) {
 // Run that needs it — with that Run's worker budget. A sweep whose first Run
 // is deliberately narrow (Workers: 1) can call Prepare first so the
 // expensive construction still parallelizes. Calling Prepare when the
-// structure already exists is a no-op.
+// structure already exists, or on a store-backed Clusterer (whose windows
+// need no prebuilt structure), is a no-op.
 func (c *Clusterer) Prepare(cfg Config) (err error) {
 	// Same panic boundary as the run entry points: a worker panic during the
 	// eager build surfaces as an error, not a crash.
@@ -314,13 +314,8 @@ func (c *Clusterer) Prepare(cfg Config) (err error) {
 	if err := validateWorkers(&cfg); err != nil {
 		return err
 	}
-	if c.store != nil && !cfg.Spill {
-		if err := c.ensureMapped(); err != nil {
-			return err
-		}
-	}
-	if cfg.Spill {
-		return nil // Spill runs need no in-RAM cell structure
+	if c.store != nil {
+		return nil
 	}
 	var params core.Params
 	useBox, err := resolveMethod(c.pts.D, &cfg, &params)
@@ -362,7 +357,8 @@ func (c *Clusterer) Run(cfg Config) (*Result, error) {
 //
 // The cell structure is built lazily by the first run that needs it, with
 // that run's Workers budget; call Prepare to build it eagerly with a budget
-// of your choice.
+// of your choice. On a store-backed Clusterer every run is out-of-core (see
+// OpenStoreClusterer) and rejects a Sampler.
 func (c *Clusterer) RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -388,81 +384,54 @@ func (c *Clusterer) RunContext(ctx context.Context, cfg Config) (res *Result, er
 		Exec:      ex,
 		Arena:     c.arena,
 		Timings:   &tm,
+		PhaseHook: c.phaseHook,
 	}
 	useBox, err := resolveMethod(c.pts.D, &cfg, &params)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Spill {
-		// Out-of-core: sweep the store's shards one halo window at a time.
-		// Validate already rejected Sampler; the shard schedule is the
-		// store's layout.
-		if c.store == nil {
-			return nil, fmt.Errorf("pdbscan: Spill requires a store-backed Clusterer (OpenStoreClusterer)")
+	var cres *core.Result
+	stats := RunStats{Shards: 1}
+	if c.store != nil {
+		if cfg.Sampler != SamplerNone {
+			return nil, fmt.Errorf("pdbscan: sampled-core runs are in-RAM only; a store-backed Clusterer rejects Sampler %q", cfg.Sampler)
 		}
-		cres, ooc, err := core.RunOutOfCore(c.store, params, cfg.MaxResidentBytes)
-		if err != nil {
+		// The shard schedule is the store's layout; the box layout of the
+		// 2d-box-* methods is served from the store's grid cells.
+		var ooc *core.OOCStats
+		if cres, ooc, err = core.RunOutOfCore(c.store, params, c.maxResident); err != nil {
 			return nil, err
 		}
-		total := time.Since(start)
-		phases := tm.Mark + tm.Collect + tm.Graph + tm.Label + tm.Border
-		c.statsMu.Lock()
-		c.lastStats = RunStats{
-			MarkCore:           tm.Mark,
-			ClusterCore:        tm.Collect + tm.Graph,
-			Border:             tm.Label + tm.Border,
-			Build:              total - phases,
-			Total:              total,
+		stats = RunStats{
 			Shards:             c.store.NumShards(),
-			Workers:            ex.Workers(),
 			BytesMapped:        ooc.BytesMapped,
 			PeakResidentBytes:  ooc.PeakResidentBytes,
 			ShardsResidentPeak: ooc.ShardsResidentPeak,
 		}
-		c.statsMu.Unlock()
-		return &Result{
-			Labels:      cres.Labels,
-			Core:        cres.Core,
-			Border:      cres.Border,
-			NumClusters: cres.NumClusters,
-		}, nil
-	}
-	if c.store != nil {
-		if err := c.ensureMapped(); err != nil {
-			return nil, err
+	} else {
+		if cfg.Sampler != SamplerNone {
+			mask, err := c.sampleFor(&cfg, ex)
+			if err != nil {
+				return nil, err
+			}
+			params.Sample = mask
 		}
-	}
-	if cfg.Sampler != SamplerNone {
-		mask, err := c.sampleFor(&cfg, ex)
+		cells, err := c.cellsFor(useBox, ex)
 		if err != nil {
 			return nil, err
 		}
-		params.Sample = mask
+		if cres, err = core.Run(cells, params); err != nil {
+			return nil, err
+		}
 	}
-	cells, err := c.cellsFor(useBox, ex)
-	if err != nil {
-		return nil, err
-	}
-	cres, err := core.Run(cells, params)
-	if err != nil {
-		return nil, err
-	}
-	if c.store != nil {
-		// Store-backed payloads are laid out in store order; hand results
-		// back in the writing Clusterer's point order.
-		c.scatterStore(ex, cres)
-	}
-	total := time.Since(start)
+	stats.Total = time.Since(start)
+	stats.MarkCore = tm.Mark
+	stats.ClusterCore = tm.Collect + tm.Graph
+	stats.Border = tm.Label + tm.Border
+	stats.Build = stats.Total - (stats.MarkCore + stats.ClusterCore + stats.Border)
+	stats.Workers = ex.Workers()
 	c.statsMu.Lock()
-	c.lastStats = RunStats{
-		MarkCore:    tm.Mark,
-		ClusterCore: tm.Collect + tm.Graph,
-		Border:      tm.Label + tm.Border,
-		Build:       total - (tm.Mark + tm.Collect + tm.Graph + tm.Label + tm.Border),
-		Total:       total,
-		Shards:      1,
-		Workers:     ex.Workers(),
-	}
+	c.lastStats = stats
 	c.statsMu.Unlock()
 	return &Result{
 		Labels:      cres.Labels,

@@ -98,7 +98,7 @@ var rules = []rule{
 	{experiment: "emst", metric: "queries_equal", bound: 1, hard: true, what: "every cut equal to its from-scratch run"},
 	{experiment: "emst", metric: "amortization_ratio", bound: 5 * grace, what: "5x amortization floor less 10%"},
 
-	// Out-of-core: the acceptance criteria of the spill mode are hard; the
+	// Out-of-core: the acceptance criteria of store-backed runs are hard; the
 	// spill-vs-in-RAM wall ratio is host-dependent and soft.
 	{experiment: "ooc", metric: "labels_perm_equal", bound: 1, hard: true, what: "spill labels permutation-equal to the in-RAM run"},
 	{experiment: "ooc", metric: "dataset_budget_ratio", bound: 4, hard: true, what: "dataset at least 4x the residency budget"},

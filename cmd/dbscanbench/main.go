@@ -47,7 +47,7 @@ var experiments = map[string]struct {
 	"serve":    {"serving path: cancellation latency mid-run + Engine throughput under mixed jobs (-json records BENCH_serve.json)", expServe},
 	"emst":     {"EMST-backed hierarchy: one build amortized over a 16-eps sweep vs independent runs (-json records BENCH_emst.json)", expEmst},
 	"api":      {"HTTP serving layer under hundreds of concurrent mixed sessions (-json records BENCH_api.json)", expAPI},
-	"ooc":      {"out-of-core spill run vs in-RAM at a dataset 4x the residency budget (-json records BENCH_ooc.json)", expOoc},
+	"ooc":      {"store-backed out-of-core run vs in-RAM at a dataset 4x the residency budget (-json records BENCH_ooc.json)", expOoc},
 }
 
 func main() {

@@ -12,10 +12,10 @@ import (
 )
 
 // expOoc measures the out-of-core path end to end: write the dataset to a
-// cell store, rerun with Spill under a residency budget of one quarter of the
-// point payload, and compare wall clock and labels against the in-RAM run.
+// cell store, reopen it under a residency budget of one quarter of the point
+// payload, rerun, and compare wall clock and labels against the in-RAM run.
 //
-// peak_resident_bytes counts what MaxResidentBytes bounds: the largest single
+// peak_resident_bytes counts what the store budget bounds: the largest single
 // point-data window mapped at once. O(n) bookkeeping (labels, core flags,
 // union-find, store metadata) stays heap-resident outside the budget;
 // peak_rss_bytes is reported so that gap is visible, not hidden.
@@ -39,9 +39,9 @@ func expOoc(o options) {
 	}
 	ramWall := time.Since(start)
 
-	// Spill run: persist the store, reopen it, and run under the budget. 16
-	// shards keep every halo window of the uniform dataset comfortably under
-	// a quarter of the payload.
+	// Out-of-core run: persist the store, reopen it under the budget, and
+	// run. 16 shards keep every halo window of the uniform dataset
+	// comfortably under a quarter of the payload.
 	dir, err := os.MkdirTemp("", "dbscanbench-ooc-")
 	if err != nil {
 		fatalf("ooc: %v", err)
@@ -52,13 +52,11 @@ func expOoc(o options) {
 	if err := ram.WriteStore(path, shards); err != nil {
 		fatalf("ooc: %v", err)
 	}
-	ooc, err := pdbscan.OpenStoreClusterer(path)
+	ooc, err := pdbscan.OpenStoreClusterer(path, budget)
 	if err != nil {
 		fatalf("ooc: %v", err)
 	}
 	defer ooc.Close()
-	cfg.Spill = true
-	cfg.MaxResidentBytes = budget
 	start = time.Now()
 	got, err := ooc.Run(cfg)
 	if err != nil {
@@ -86,7 +84,7 @@ func expOoc(o options) {
 		"labels_perm_equal":    benchreport.Bool(permEqual),
 		"num_clusters":         float64(got.NumClusters),
 		// The gated ratios: the dataset must dwarf the budget, the peak
-		// window stay within it (up to the halo slack), and the spill run's
+		// window stay within it (up to the halo slack), and the out-of-core run's
 		// wall clock stay within a soft multiple of the in-RAM run.
 		"dataset_budget_ratio": float64(datasetBytes) / float64(budget),
 		"peak_window_ratio":    float64(stats.PeakResidentBytes) / float64(budget),
@@ -97,14 +95,14 @@ func expOoc(o options) {
 		dsName, pts.N, eps, minPts, fmtBytes(budget)),
 		"run", "wall", "peak window", "mapped total", "clusters")
 	tbl.add("in-RAM", ramWall.Round(time.Millisecond).String(), "-", "-", fmt.Sprint(want.NumClusters))
-	tbl.add("spill", oocWall.Round(time.Millisecond).String(),
+	tbl.add("out-of-core", oocWall.Round(time.Millisecond).String(),
 		fmtBytes(stats.PeakResidentBytes), fmtBytes(stats.BytesMapped), fmt.Sprint(got.NumClusters))
 	tbl.print()
 	fmt.Printf("dataset %s = %.1fx budget; peak window %.2fx budget; widest halo %d/%d shards; labels perm-equal: %v\n",
 		fmtBytes(datasetBytes), rep.Metrics["dataset_budget_ratio"], rep.Metrics["peak_window_ratio"],
 		stats.ShardsResidentPeak, stats.Shards, permEqual)
 	if !permEqual {
-		fatalf("ooc: spill labels diverged from the in-RAM run")
+		fatalf("ooc: out-of-core labels diverged from the in-RAM run")
 	}
 	writeReport(o, rep)
 }
@@ -150,7 +148,7 @@ func boolsEqual(a, b []bool) bool {
 
 // peakRSSBytes returns the process's peak resident set size. Informational
 // only: Go's heap, the test harness, and page-cache behavior all land in it,
-// so it is not what MaxResidentBytes bounds.
+// so it is not what the store budget bounds.
 func peakRSSBytes() int64 {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {

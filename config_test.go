@@ -45,12 +45,6 @@ func TestConfigValidateTable(t *testing.T) {
 		{"frac above one", func(c *Config) { c.Sampler = SamplerUniform; c.SampleFrac = 1.5 }, "SampleFrac"},
 		{"negative frac", func(c *Config) { c.Sampler = SamplerKCenter; c.SampleFrac = -0.2 }, "SampleFrac"},
 		{"NaN frac", func(c *Config) { c.Sampler = SamplerUniform; c.SampleFrac = math.NaN() }, "SampleFrac"},
-
-		{"valid spill", func(c *Config) { c.Spill = true }, ""},
-		{"valid spill with budget", func(c *Config) { c.Spill = true; c.MaxResidentBytes = 1 << 20 }, ""},
-		{"negative budget", func(c *Config) { c.Spill = true; c.MaxResidentBytes = -1 }, "MaxResidentBytes"},
-		{"budget without spill", func(c *Config) { c.MaxResidentBytes = 1 << 20 }, "Spill"},
-		{"spill with sampler", func(c *Config) { c.Spill = true; c.Sampler = SamplerUniform; c.SampleFrac = 0.1 }, "Sampler"},
 	}
 	for _, tc := range cases {
 		cfg := valid

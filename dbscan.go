@@ -31,9 +31,10 @@
 // Workers budget.
 //
 // In-memory batch runs take one execution path: the phases of the paper's
-// Algorithm 1, each a parallel loop over cells. Out-of-core runs
-// (Config.Spill) sweep an on-disk cell store one shard window at a time, and
-// StreamingClusterer reruns only the cells a tick dirtied.
+// Algorithm 1, each a parallel loop over cells. A store-backed Clusterer
+// (OpenStoreClusterer) runs those same per-cell loops out of core, one shard
+// window of an on-disk cell store at a time, and StreamingClusterer reruns
+// only the cells a tick dirtied.
 package pdbscan
 
 import (
@@ -176,8 +177,8 @@ type Config struct {
 	// BENCH_scale.json. Results are deterministic for a fixed (Sampler,
 	// SampleFrac, SampleSeed) at any Workers count.
 	//
-	// Sampled runs are batch-only: StreamingClusterer and Spill reject
-	// samplers.
+	// Sampled runs are in-memory batch only: StreamingClusterer and
+	// store-backed Clusterers reject samplers.
 	Sampler Sampler
 	// SampleFrac is the sampled fraction m/n, in (0, 1]; required when
 	// Sampler is set, rejected when it is not. 1 samples every point, which
@@ -186,27 +187,6 @@ type Config struct {
 	// SampleSeed seeds the sampler. Runs with equal (Sampler, SampleFrac,
 	// SampleSeed) over the same points pick the same sample.
 	SampleSeed int64
-
-	// Spill selects the out-of-core execution path: shards are swept one halo
-	// window at a time from the on-disk cell store, so only a sliver of the
-	// point data is ever resident. Requires a store-backed Clusterer
-	// (OpenStoreClusterer); the shard schedule comes from the store's layout
-	// (see Clusterer.WriteStore), and samplers are rejected (their counting
-	// set is the whole dataset). Labels are bit-identical to an in-RAM run for
-	// every grid-layout method and permutation-equal for the 2d-box-* methods
-	// (which the store serves from the grid layout).
-	// StreamingClusterer rejects Spill — its state is the in-memory dynamic
-	// grid; use Snapshot/RestoreStreaming to persist a stream.
-	Spill bool
-	// MaxResidentBytes is a hard budget on the point-data bytes resident at
-	// any moment of a Spill run (one shard's halo window, page rounding
-	// included). 0 means no budget. A window over budget fails the run with
-	// an error naming the shortfall — rewrite the store with more shards, or
-	// raise the budget. The run's O(n) bookkeeping (core flags, labels,
-	// cell-level union-find, store metadata) is small and outside the budget;
-	// see RunStats.PeakResidentBytes for what was actually mapped. Requires
-	// Spill; negative values are rejected.
-	MaxResidentBytes int64
 }
 
 // Validate checks every Config field for structural validity: the value
@@ -254,15 +234,6 @@ func (cfg *Config) Validate() error {
 		}
 	default:
 		return fmt.Errorf("pdbscan: unknown sampler %q", cfg.Sampler)
-	}
-	if cfg.MaxResidentBytes < 0 {
-		return fmt.Errorf("pdbscan: MaxResidentBytes must not be negative, got %d (0 means no budget)", cfg.MaxResidentBytes)
-	}
-	if cfg.MaxResidentBytes > 0 && !cfg.Spill {
-		return fmt.Errorf("pdbscan: MaxResidentBytes requires Spill (it budgets the out-of-core window)")
-	}
-	if cfg.Spill && cfg.Sampler != SamplerNone {
-		return fmt.Errorf("pdbscan: sampled-core runs are in-RAM only; Spill rejects Sampler %q", cfg.Sampler)
 	}
 	return nil
 }
@@ -376,21 +347,23 @@ type RunStats struct {
 	Border time.Duration
 	// Total is the end-to-end wall time of the run.
 	Total time.Duration
-	// Shards is the store's shard count on a Spill run and 1 otherwise.
+	// Shards is the store's shard count on a store-backed run and 1
+	// otherwise.
 	Shards int
 	// Workers is the effective worker budget of the run.
 	Workers int
 
 	// BytesMapped is the cumulative point-data bytes mapped across every
-	// window turn of a Spill run (zero otherwise). Each shard's halo window
-	// is mapped once per pass (mark/graph, then border), so this typically
-	// lands at 2-6x the dataset size depending on halo overlap.
+	// window turn of a store-backed run (zero otherwise). Each shard's halo
+	// window is mapped once per pass (mark/graph, then border), so this
+	// typically lands at 2-6x the dataset size depending on halo overlap.
 	BytesMapped int64
-	// PeakResidentBytes is the largest single window mapping of a Spill run —
-	// the most point data resident at any moment (windows are mapped one at a
-	// time and released before the next turn). This is the figure
-	// Config.MaxResidentBytes bounds.
+	// PeakResidentBytes is the largest single window mapping of a
+	// store-backed run — the most point data resident at any moment (windows
+	// are mapped one at a time and released before the next turn). This is
+	// the figure OpenStoreClusterer's maxResidentBytes bounds.
 	PeakResidentBytes int64
-	// ShardsResidentPeak is the widest halo window of a Spill run, in shards.
+	// ShardsResidentPeak is the widest halo window of a store-backed run, in
+	// shards.
 	ShardsResidentPeak int
 }

@@ -93,7 +93,13 @@ func (c *Clusterer) BuildHierarchy(minPts int) (*Hierarchy, error) {
 // build interrupted by ctx stops at the next phase or cell boundary, returns
 // ctx.Err(), and discards its partial state, so a later call rebuilds from
 // scratch rather than serving a half-built structure.
+//
+// A store-backed Clusterer (OpenStoreClusterer) cannot build hierarchies:
+// the build needs every point resident at once.
 func (c *Clusterer) BuildHierarchyContext(ctx context.Context, cfg Config) (h *Hierarchy, err error) {
+	if c.store != nil {
+		return nil, fmt.Errorf("pdbscan: BuildHierarchy needs an in-memory Clusterer; this one is store-backed (OpenStoreClusterer), and its out-of-core runs never hold every point at once")
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -174,7 +180,7 @@ func (c *Clusterer) buildHierarchy(minPts int, ex *parallel.Pool) (*Hierarchy, e
 		Exec:      ex,
 		Arena:     c.arena,
 		Timings:   &tm,
-		PhaseHook: c.hierHook,
+		PhaseHook: c.phaseHook,
 	})
 	if err != nil {
 		return nil, err

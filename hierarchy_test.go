@@ -223,7 +223,7 @@ func TestHierarchyBuildCancellation(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		c.hierHook = func(p string) {
+		c.phaseHook = func(p string) {
 			if p == phase {
 				cancel()
 			}
@@ -239,7 +239,7 @@ func TestHierarchyBuildCancellation(t *testing.T) {
 		}
 		c.hierMu.Unlock()
 		// The rebuild must start from scratch and produce the exact answer.
-		c.hierHook = nil
+		c.phaseHook = nil
 		h, err := c.BuildHierarchy(5)
 		if err != nil {
 			t.Fatalf("phase %s: rebuild: %v", phase, err)

@@ -365,7 +365,8 @@ func (st *Store) AbsCoord(sc, j int) int64 {
 // Mapping is a resident window of point data: the rows of store cells
 // [CellLo,CellHi), as a float64 view. Bytes is the actual number of bytes
 // made resident (page rounding included) — the figure the out-of-core engine
-// charges against Config.MaxResidentBytes.
+// charges against its residency budget (OpenStoreClusterer's
+// maxResidentBytes).
 type Mapping struct {
 	Data    []float64 // rows of points [PointLo, PointLo+len/d), store order
 	PointLo int       // store point index of Data's first row

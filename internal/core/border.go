@@ -2,11 +2,13 @@ package core
 
 import "sync"
 
-// clusterBorder implements Algorithm 4: every non-core point checks the core
-// points of its own cell and of all neighboring cells; it joins the cluster
-// of each core point within eps. Border points may belong to multiple
-// clusters; labels[p] receives the smallest, and the full sets (for points
-// with more than one) are returned as a map.
+// clusterBorder implements Algorithm 4 over the cells of [lo, hi): every
+// non-core point checks the core points of its own cell and of all
+// neighboring cells; it joins the cluster of each core point within eps.
+// Border points may belong to multiple clusters; labels[p] receives the
+// smallest, and the full sets (for points with more than one) are returned
+// as a map keyed by point index. The batch run passes every cell, an
+// out-of-core window turn its shard's owned range.
 //
 // Only cells with fewer than minPts points can contain non-core points, so
 // the loop mirrors the paper's `|g| < minPts` guard in exact runs. Under a
@@ -31,17 +33,15 @@ import "sync"
 // set lives in the worker's pooled scratch; only the rare membership lists
 // of multi-cluster border points are freshly allocated (they escape into
 // the Result) and are merged into the map per block under a mutex.
-func (st *pipeline) clusterBorder(labels []int32, numClusters int) map[int32][]int32 {
+func (st *pipeline) clusterBorder(lo, hi int, labels []int32) map[int32][]int32 {
 	c := st.cells
-	numCells := c.NumCells()
-
 	border := make(map[int32][]int32)
 	var mu sync.Mutex
-	st.ex.BlockedFor(numCells, 1, func(lo, hi int) {
+	st.ex.BlockedFor(hi-lo, 1, func(blo, bhi int) {
 		ws := st.getWS()
 		var multiP []int32   // border points in 2+ clusters found by this block
 		var multiM [][]int32 // their membership lists (freshly allocated)
-		for g := lo; g < hi; g++ {
+		for g := lo + blo; g < lo+bhi; g++ {
 			if st.cancelled() {
 				break // partial labels; the run bails before returning them
 			}

@@ -133,27 +133,17 @@ func RunIncremental(cells *grid.Cells, p Params, inc *Incremental, dirty *grid.D
 		inc.coreFlags = append(inc.coreFlags, make([]bool, n-len(inc.coreFlags))...)
 	}
 	st.coreFlags = inc.coreFlags[:n]
-	if p.Mark == MarkQuadtree {
-		st.rs.allTrees = lazyTreeBuf(st.rs.allTrees, numCells)
-		st.allTrees = st.rs.allTrees
-	}
+	st.initMarkTrees()
 	st.ex.For(n, func(i int) {
 		if cells.CellOf[i] < 0 {
 			st.coreFlags[i] = false // freed point slot
 		}
 	})
-	st.ex.BlockedFor(numCells, 1, func(lo, hi int) {
-		ws := st.getWS()
-		for g := lo; g < hi; g++ {
-			if st.cancelled() {
-				break
-			}
-			if (allDirty || affected[g]) && cells.CellSize(g) > 0 {
-				st.markCellCore(g, ws)
-			}
-		}
-		st.putWS(ws)
-	})
+	if allDirty {
+		st.markCells(0, numCells, nil)
+	} else {
+		st.markCells(0, numCells, affected)
+	}
 
 	if err := boundary("collect"); err != nil {
 		return nil, err
@@ -170,7 +160,7 @@ func RunIncremental(cells *grid.Cells, p Params, inc *Incremental, dirty *grid.D
 	if err := boundary("border"); err != nil {
 		return nil, err
 	}
-	border := st.clusterBorder(labels, numClusters)
+	border := st.clusterBorder(0, numCells, labels)
 	if err := boundary("done"); err != nil {
 		return nil, err
 	}

@@ -2,25 +2,40 @@ package core
 
 import "sort"
 
-// markCore implements Algorithm 2: cells with at least minPts points are
-// all-core; points in smaller cells count their eps-neighbors in their own
-// cell plus every neighboring cell via RangeCount queries.
+// markCore implements Algorithm 2 over every cell: cells with at least
+// minPts points are all-core; points in smaller cells count their
+// eps-neighbors in their own cell plus every neighboring cell via RangeCount
+// queries.
 func (st *pipeline) markCore() {
-	c := st.cells
-	n := c.Pts.N
-	numCells := c.NumCells()
-	st.coreFlags = make([]bool, n) // escapes into Result.Core; never pooled
+	st.coreFlags = make([]bool, st.cells.Pts.N) // escapes into Result.Core; never pooled
+	st.initMarkTrees()
+	st.markCells(0, st.cells.NumCells(), nil)
+}
+
+// initMarkTrees readies the lazy per-cell quadtrees MarkQuadtree counts
+// against (a no-op for MarkScan).
+func (st *pipeline) initMarkTrees() {
 	if st.p.Mark == MarkQuadtree {
-		st.rs.allTrees = lazyTreeBuf(st.rs.allTrees, numCells)
+		st.rs.allTrees = lazyTreeBuf(st.rs.allTrees, st.cells.NumCells())
 		st.allTrees = st.rs.allTrees
 	}
-	st.ex.BlockedFor(numCells, 1, func(lo, hi int) {
+}
+
+// markCells runs markCellCore over the non-empty cells of [lo, hi) — all of
+// them, or only those with only[g] set when only is non-nil (the
+// incremental path's core-dirty cells). The batch run passes every cell, an
+// out-of-core window turn its shard's owned range.
+func (st *pipeline) markCells(lo, hi int, only []bool) {
+	c := st.cells
+	st.ex.BlockedFor(hi-lo, 1, func(blo, bhi int) {
 		ws := st.getWS()
-		for g := lo; g < hi; g++ {
+		for g := lo + blo; g < lo+bhi; g++ {
 			if st.cancelled() {
-				break // partial flags; Run bails at the next phase boundary
+				break // partial flags; the run bails at the next phase boundary
 			}
-			st.markCellCore(g, ws)
+			if (only == nil || only[g]) && c.CellSize(g) > 0 {
+				st.markCellCore(g, ws)
+			}
 		}
 		st.putWS(ws)
 	})

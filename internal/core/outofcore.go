@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"time"
 
 	"pdbscan/internal/cellstore"
 	"pdbscan/internal/delaunay"
@@ -17,7 +15,7 @@ import (
 // figures cover point-data windows only: the run additionally keeps O(n)
 // bookkeeping resident (core flags, labels, the cell-level union-find and the
 // store metadata), which is orders of magnitude smaller than the points and
-// documented as outside the MaxResidentBytes budget.
+// documented as outside the maxResidentBytes budget.
 type OOCStats struct {
 	// BytesMapped is the cumulative bytes of point data mapped across every
 	// window turn of both passes.
@@ -38,23 +36,30 @@ type OOCStats struct {
 // cell-graph edge that crosses a shard cut joins two cells that are each in
 // the other's halo.
 //
-// The result equals Run's on the in-RAM cells. Each turn rebuilds the
-// window's cell structure straight from the store (absolute lattice
-// anchoring places every point in a bit-identically positioned cell, and the
-// store preserves within-cell point order, so every geometric predicate
-// evaluates on identical operands). Core flags are decomposable — a point's
-// flag depends only on points within eps — and accumulate in a global
-// store-order array. Every per-pair connectivity predicate is a pure
-// function of the cell pair, so the components do not depend on which turn
-// evaluates an edge, or whether it is skipped as already connected. All
-// unions go into one global union-find over the *writer's* original cell
-// ids, where union-by-min-index roots and DenseRoots label assignment
-// reproduce the in-RAM run's labels bit-for-bit. Cross-window pairs are
-// evaluated exactly once, by the later shard's turn (the earlier shard's
-// cells are part of the later window by the halo invariant). Delaunay turns
-// triangulate the shard's own core points — the triangulation of any point
-// subset contains the subset's Euclidean MST, so it realizes every
-// eps-connection within the shard — and join shards with exact BCP edges.
+// The result equals Run's on the in-RAM cells. Each turn stands the mapped
+// window up as a cell structure with no re-grid (BuildCellMajor over the
+// store's cell offsets and absolute lattice coordinates: every point sits in
+// a bit-identically positioned cell, in the writer's within-cell order, so
+// every geometric predicate evaluates on identical operands) and runs the
+// batch pipeline's own per-cell MarkCore, collect and ClusterBorder bodies
+// over the shard's owned cell range — window cells are store order, so that
+// range is contiguous. Core flags are decomposable — a point's flag depends
+// only on points within eps — and accumulate in a global store-order array.
+// Every per-pair connectivity predicate is a pure function of the cell pair,
+// so the components do not depend on which turn evaluates an edge, or
+// whether it is skipped as already connected. All unions go into one global
+// union-find over the *writer's* original cell ids, where union-by-min-index
+// roots and DenseRoots label assignment reproduce the in-RAM run's labels
+// bit-for-bit. Cross-window pairs are evaluated exactly once, by the later
+// shard's turn (the earlier shard's cells are part of the later window by
+// the halo invariant). Delaunay turns triangulate the shard's own core
+// points — the triangulation of any point subset contains the subset's
+// Euclidean MST, so it realizes every eps-connection within the shard — and
+// join shards with exact BCP edges.
+//
+// Every turn reports its phases through the pipeline's phase transitions, so
+// Params.Timings sums each phase over all turns, Params.PhaseHook fires at
+// every turn's phase boundaries, and a cancelled run stops at the next one.
 //
 // maxResidentBytes > 0 is a hard budget on a single window mapping: a window
 // that exceeds it fails the run with an error naming the shortfall (rewrite
@@ -93,20 +98,17 @@ func RunOutOfCore(store *cellstore.Store, p Params, maxResidentBytes int64) (*Re
 	// backward half of the window, build the intra-shard cell graph and
 	// evaluate every backward cross edge.
 	for s := 0; s < shards; s++ {
-		if err := ex.Err(); err != nil {
-			return nil, nil, err
-		}
 		if err := r.markTurn(s); err != nil {
 			return nil, nil, err
 		}
 	}
-	if err := ex.Err(); err != nil {
-		return nil, nil, err
-	}
 
 	// Labels — from metadata only: the union-find over original cell ids and
 	// the per-cell extents are all that's needed; no window is resident.
-	start := time.Now()
+	var clock phaseClock
+	if err := clock.phase(&p, "label"); err != nil {
+		return nil, nil, err
+	}
 	roots, dense := unionfind.DenseRoots(ex, r.guf, func(g int32) bool {
 		return r.cellHasCore[g]
 	})
@@ -126,8 +128,8 @@ func RunOutOfCore(store *cellstore.Store, p Params, maxResidentBytes int64) (*Re
 			}
 		}
 	})
-	if p.Timings != nil {
-		p.Timings.Label += time.Since(start)
+	if err := clock.phase(&p, "done"); err != nil {
+		return nil, nil, err
 	}
 
 	// Pass 2 — border attachment, again one window at a time. Core flags and
@@ -135,15 +137,9 @@ func RunOutOfCore(store *cellstore.Store, p Params, maxResidentBytes int64) (*Re
 	// state (recollected from the global flags) plus the owned cells' points.
 	r.border = make(map[int32][]int32)
 	for s := 0; s < shards; s++ {
-		if err := ex.Err(); err != nil {
-			return nil, nil, err
-		}
 		if err := r.borderTurn(s); err != nil {
 			return nil, nil, err
 		}
-	}
-	if err := ex.Err(); err != nil {
-		return nil, nil, err
 	}
 
 	// Scatter store-order outputs back to the writer's original point order.
@@ -175,23 +171,20 @@ type oocRun struct {
 	cellHasCore []bool        // original cell ids
 	labels      []int32       // store order, global
 	border      map[int32][]int32
-	borderMu    sync.Mutex
 }
 
-// oocTurn is one resident window: the mapping, its rebuilt cell structure,
-// a window pipeline whose core flags alias the global store-order array, and
-// the local/store/original cell index translations.
+// oocTurn is one resident window: the mapping, its cell structure, and a
+// window pipeline whose core flags alias the global store-order array.
+// Window-local cells are in store order, so the shard owns the contiguous
+// local cells [ownLo, ownHi), and every local cell below ownLo belongs to an
+// earlier shard.
 type oocTurn struct {
 	m      *cellstore.Mapping
 	cells  *grid.Cells
 	st     *pipeline
-	s2l    []int32 // store cell (offset by cellLo) -> local cell
-	l2s    []int32 // local cell -> store cell
 	l2orig []int32 // local cell -> original (writer) cell id
-	cellLo int     // store cell range of the window
-	cellHi int
-	ownLo  int // store cell range owned by this turn's shard
-	ownHi  int
+	ownLo  int32
+	ownHi  int32
 	pLo    int // store point index of the window's first row
 }
 
@@ -208,10 +201,13 @@ func (t *oocTurn) close() {
 // window's cell structure directly — the store already holds the cell-major
 // layout BuildCellMajor wants, so there is no per-window re-gather: no
 // semisort, no coordinate hashing, and the pipeline's payload aliases the
-// mapping itself (zero copy against the residency budget). Window-local cell
-// ids equal store order, so the store/local translations are simple offsets.
-// The pipeline's coreFlags alias the global store-order array.
+// mapping itself (zero copy against the residency budget). The pipeline's
+// coreFlags alias the global store-order array.
 func (r *oocRun) openTurn(s int) (*oocTurn, error) {
+	ex := r.p.Exec
+	if err := ex.Err(); err != nil {
+		return nil, err
+	}
 	store := r.store
 	wlo, whi := store.Window(s)
 	cellLo, _ := store.ShardCells(wlo)
@@ -223,7 +219,7 @@ func (r *oocRun) openTurn(s int) (*oocTurn, error) {
 	if r.maxRes > 0 && m.Bytes > r.maxRes {
 		need := m.Bytes
 		m.Release()
-		return nil, fmt.Errorf("core: shard %d's halo window needs %d bytes resident, over the %d-byte budget; rewrite the store with more shards or raise MaxResidentBytes", s, need, r.maxRes)
+		return nil, fmt.Errorf("core: shard %d's halo window needs %d bytes resident, over the %d-byte budget; rewrite the store with more shards or raise the resident budget", s, need, r.maxRes)
 	}
 	r.stats.BytesMapped += m.Bytes
 	if m.Bytes > r.stats.PeakResidentBytes {
@@ -233,15 +229,15 @@ func (r *oocRun) openTurn(s int) (*oocTurn, error) {
 		r.stats.ShardsResidentPeak = span
 	}
 
-	t := &oocTurn{m: m, cellLo: cellLo, cellHi: cellHi, pLo: m.PointLo}
-	t.ownLo, t.ownHi = store.ShardCells(s)
+	t := &oocTurn{m: m, pLo: m.PointLo}
+	ownLo, ownHi := store.ShardCells(s)
+	t.ownLo, t.ownHi = int32(ownLo-cellLo), int32(ownHi-cellLo)
 
 	d := store.Dims()
 	pts := geom.Points{N: len(m.Data) / d, D: d, Data: m.Data}
-	ex := r.p.Exec
 
-	// Window-local cell offsets and absolute lattice coordinates, straight
-	// from the store metadata.
+	// Window-local cell offsets, absolute lattice coordinates and original
+	// cell ids, straight from the store metadata.
 	numCells := cellHi - cellLo
 	cellStart := make([]int32, numCells+1)
 	for i := 0; i <= numCells; i++ {
@@ -252,39 +248,26 @@ func (r *oocRun) openTurn(s int) (*oocTurn, error) {
 		return nil, fmt.Errorf("core: window of shard %d maps %d points, cell offsets say %d (corrupt store?)", s, pts.N, cellStart[numCells])
 	}
 	abs := make([]int64, numCells*d)
+	t.l2orig = make([]int32, numCells)
 	for i := 0; i < numCells; i++ {
 		for j := 0; j < d; j++ {
 			abs[i*d+j] = store.AbsCoord(cellLo+i, j)
 		}
+		t.l2orig[i] = store.OrigCell(cellLo + i)
 	}
 	cells := grid.BuildCellMajor(ex, pts, store.Eps(), cellStart, abs)
 	cells.ComputeNeighbors(ex)
 	t.cells = cells
 
-	// Local cell ids are store order: the translations are identity/offset.
-	t.s2l = make([]int32, numCells)
-	t.l2s = make([]int32, numCells)
-	t.l2orig = make([]int32, numCells)
-	for i := 0; i < numCells; i++ {
-		t.s2l[i] = int32(i)
-		t.l2s[i] = int32(cellLo + i)
-		t.l2orig[i] = store.OrigCell(cellLo + i)
-	}
-
-	p2 := r.p
-	p2.Timings = nil
-	p2.PhaseHook = nil
-	if err := validateParams(cells, &p2); err != nil {
+	p := r.p
+	if err := validateParams(cells, &p); err != nil {
 		t.close()
 		return nil, err
 	}
-	st := newPipeline(cells, p2)
+	st := newPipeline(cells, p)
 	t.st = st
 	st.coreFlags = r.coreFlags[t.pLo : t.pLo+pts.N]
-	if st.p.Mark == MarkQuadtree {
-		st.rs.allTrees = lazyTreeBuf(st.rs.allTrees, cells.NumCells())
-		st.allTrees = st.rs.allTrees
-	}
+	st.initMarkTrees()
 	st.initCoreState()
 	return t, nil
 }
@@ -300,56 +283,33 @@ func (r *oocRun) markTurn(s int) error {
 	}
 	defer t.close()
 	st, ex := t.st, t.st.ex
-	owned := t.s2l[t.ownLo-t.cellLo : t.ownHi-t.cellLo]
+	ownLo, ownHi := t.ownLo, t.ownHi
 
-	if r.p.PhaseHook != nil {
-		r.p.PhaseHook("mark")
+	if err := st.phase("mark"); err != nil {
+		return err
 	}
-	start := time.Now()
-	ex.BlockedFor(len(owned), 1, func(lo, hi int) {
-		ws := st.getWS()
-		for i := lo; i < hi; i++ {
-			if st.cancelled() {
-				break
-			}
-			st.markCellCore(int(owned[i]), ws)
-		}
-		st.putWS(ws)
-	})
-	if r.p.Timings != nil {
-		r.p.Timings.Mark += time.Since(start)
-	}
+	st.markCells(int(ownLo), int(ownHi), nil)
 
 	// Collect backward + owned cells. Backward cells were marked by earlier
 	// turns; the global flags array carries their flags into this window.
-	start = time.Now()
-	ex.ForGrain(t.ownHi-t.cellLo, 1, func(i int) {
-		if st.cancelled() {
-			return
-		}
-		st.collectCellCore(int(t.s2l[i]))
-	})
-	for i, lg := range owned {
-		if len(st.corePts[lg]) > 0 {
-			r.cellHasCore[r.store.OrigCell(t.ownLo+i)] = true
-		}
+	if err := st.phase("collect"); err != nil {
+		return err
 	}
-	if r.p.Timings != nil {
-		r.p.Timings.Collect += time.Since(start)
-	}
-	if st.cancelled() {
-		return ex.Err()
+	st.collectCells(0, int(ownHi))
+	for g := ownLo; g < ownHi; g++ {
+		if len(st.corePts[g]) > 0 {
+			r.cellHasCore[t.l2orig[g]] = true
+		}
 	}
 
-	if r.p.PhaseHook != nil {
-		r.p.PhaseHook("graph")
+	if err := st.phase("graph"); err != nil {
+		return err
 	}
-	start = time.Now()
 	var connect connectFunc
 	if st.p.Graph == GraphDelaunay {
 		// Intra-shard connectivity via this shard's own triangulation (it
 		// contains the owned core subset's EMST; see RunOutOfCore).
-		r.delaunayTurn(t, owned)
+		r.delaunayTurn(t)
 		connect = st.bcpConnected // backward cross edges: exact BCP
 	} else {
 		connect = st.connectFn()
@@ -357,10 +317,10 @@ func (r *oocRun) markTurn(s int) error {
 
 	// Owned core cells, size-sorted so large cells connect their
 	// surroundings early and prune later queries (Algorithm 3 line 3).
-	order := make([]int32, 0, len(owned))
-	for _, lg := range owned {
-		if len(st.corePts[lg]) > 0 {
-			order = append(order, lg)
+	order := make([]int32, 0, ownHi-ownLo)
+	for g := ownLo; g < ownHi; g++ {
+		if len(st.corePts[g]) > 0 {
+			order = append(order, g)
 		}
 	}
 	slices.SortFunc(order, func(a, b int32) int {
@@ -372,36 +332,31 @@ func (r *oocRun) markTurn(s int) error {
 		}
 		return 0
 	})
-	ownLo, ownHi := int32(t.ownLo), int32(t.ownHi)
 	ex.BlockedFor(len(order), 1, func(lo, hi int) {
 		ws := st.getWS()
 		for i := lo; i < hi; i++ {
 			if st.cancelled() {
 				break
 			}
-			lg := order[i]
-			og := t.l2orig[lg]
-			for _, lh := range st.cells.Neighbors[lg] {
-				sh := t.l2s[lh]
-				if sh >= ownHi {
+			g := order[i]
+			og := t.l2orig[g]
+			for _, h := range st.cells.Neighbors[g] {
+				if h >= ownHi {
 					continue // forward pair: that shard's turn evaluates it
 				}
-				if sh >= ownLo {
+				if h >= ownLo {
 					// Same shard: the higher original cell id evaluates the
 					// pair (the monolithic dedup rule, on original ids).
-					if st.p.Graph == GraphDelaunay || t.l2orig[lh] >= og {
+					if st.p.Graph == GraphDelaunay || t.l2orig[h] >= og {
 						continue
 					}
 				}
-				r.oocPair(st, lg, lh, og, t.l2orig[lh], connect, ws)
+				r.oocPair(st, g, h, og, t.l2orig[h], connect, ws)
 			}
 		}
 		st.putWS(ws)
 	})
-	if r.p.Timings != nil {
-		r.p.Timings.Graph += time.Since(start)
-	}
-	return ex.Err()
+	return st.phase("done")
 }
 
 // oocPair is processPair against the global union-find over original cell
@@ -424,18 +379,19 @@ func (r *oocRun) oocPair(st *pipeline, lg, lh, og, oh int32, connect connectFunc
 // delaunayTurn triangulates the owned core points of one turn and unions the
 // cells joined by an inter-cell edge of length at most eps — delaunayUnion
 // redirected into the global original-id union-find.
-func (r *oocRun) delaunayTurn(t *oocTurn, owned []int32) {
+func (r *oocRun) delaunayTurn(t *oocTurn) {
 	st := t.st
+	owned := st.corePts[t.ownLo:t.ownHi]
 	total := 0
-	for _, lg := range owned {
-		total += len(st.corePts[lg])
+	for _, core := range owned {
+		total += len(core)
 	}
 	if total == 0 || st.cancelled() {
 		return
 	}
 	all := make([]int32, 0, total)
-	for _, lg := range owned {
-		all = append(all, st.corePts[lg]...)
+	for _, core := range owned {
+		all = append(all, core...)
 	}
 	// With BuildCellMajor's identity Order, payload rows are window-local
 	// store indices — the index space of Pts and CellOf — as they are.
@@ -448,92 +404,33 @@ func (r *oocRun) delaunayTurn(t *oocTurn, owned []int32) {
 
 // borderTurn is one pass-2 window: recollect the whole window's core state
 // from the (now final) global flags, then run Algorithm 4 for the owned
-// cells' non-core points against the window-local labels view. Label writes
-// land in the global store-order array through the subslice alias; candidate
-// resolution only consults the owned cell's neighbors, all of which are in
-// the window by the halo invariant.
+// cells against the window-local labels view. Label writes land in the
+// global store-order array through the subslice alias; candidate resolution
+// only consults the owned cell's neighbors, all of which are in the window by
+// the halo invariant.
 func (r *oocRun) borderTurn(s int) error {
 	t, err := r.openTurn(s)
 	if err != nil {
 		return err
 	}
 	defer t.close()
-	st, ex := t.st, t.st.ex
-	cells := t.cells
+	st := t.st
 
-	start := time.Now()
-	ex.ForGrain(t.cellHi-t.cellLo, 1, func(i int) {
-		if st.cancelled() {
-			return
-		}
-		st.collectCellCore(int(t.s2l[i]))
-	})
-	if r.p.Timings != nil {
-		r.p.Timings.Collect += time.Since(start)
+	if err := st.phase("collect"); err != nil {
+		return err
 	}
-	if st.cancelled() {
-		return ex.Err()
-	}
+	st.collectCells(0, t.cells.NumCells())
 
-	if r.p.PhaseHook != nil {
-		r.p.PhaseHook("border")
+	if err := st.phase("border"); err != nil {
+		return err
 	}
-	start = time.Now()
-	localLabels := r.labels[t.pLo : t.pLo+cells.Pts.N]
-	owned := t.s2l[t.ownLo-t.cellLo : t.ownHi-t.cellLo]
+	localLabels := r.labels[t.pLo : t.pLo+t.cells.Pts.N]
+	multi := st.clusterBorder(int(t.ownLo), int(t.ownHi), localLabels)
+	// Window point indices are store order offset by pLo; the result keys
+	// points by the writer's original index.
 	origIdx := r.store.OrigIdx()
-	ex.BlockedFor(len(owned), 1, func(lo, hi int) {
-		ws := st.getWS()
-		var multiP []int32   // original point ids of multi-cluster borders
-		var multiM [][]int32 // their membership lists
-		for i := lo; i < hi; i++ {
-			if st.cancelled() {
-				break
-			}
-			lg := owned[i]
-			g := int(lg)
-			if cells.CellSize(g) >= st.p.MinPts {
-				continue // all points are core (Sample is rejected up front)
-			}
-			built := false
-			orig := cells.PointsOf(g) // window-local store order; == rows here
-			for i, p := range cells.RowsOf(g) {
-				op := orig[i]
-				if st.coreFlags[op] {
-					continue
-				}
-				if !built {
-					st.borderCellCandidates(lg, localLabels, ws)
-					built = true
-				}
-				if len(ws.sure) == 0 && len(ws.cand) == 0 {
-					break
-				}
-				found := append(ws.found[:0], ws.sure...)
-				for _, h := range ws.cand {
-					found = st.borderScanCell(p, h, localLabels, found)
-				}
-				ws.found = found // keep grown capacity
-				if len(found) > 0 {
-					localLabels[op] = found[0]
-					if len(found) > 1 {
-						multiP = append(multiP, int32(origIdx[t.pLo+int(op)]))
-						multiM = append(multiM, append([]int32(nil), found...))
-					}
-				}
-			}
-		}
-		st.putWS(ws)
-		if len(multiP) > 0 {
-			r.borderMu.Lock()
-			for i, p := range multiP {
-				r.border[p] = multiM[i]
-			}
-			r.borderMu.Unlock()
-		}
-	})
-	if r.p.Timings != nil {
-		r.p.Timings.Border += time.Since(start)
+	for p, m := range multi {
+		r.border[int32(origIdx[t.pLo+int(p)])] = m
 	}
-	return ex.Err()
+	return st.phase("done")
 }

@@ -159,11 +159,7 @@ type pipeline struct {
 	arena *Arena      // == p.Arena (nil: no pooling)
 	rs    *runScratch // this run's checked-out scratch; returned by release
 
-	// Phase timing cursor: phaseDur (a field of p.Timings, nil when timings
-	// are off) receives the elapsed time since phaseT0 at the next phase
-	// transition.
-	phaseT0  time.Time
-	phaseDur *time.Duration
+	clock phaseClock // phase transitions: timings, hook, cancellation
 
 	coreFlags []bool
 	corePts   [][]int32 // per cell: payload rows of its core points
@@ -258,43 +254,56 @@ func (st *pipeline) initUF(numCells int) {
 // path).
 func (st *pipeline) cancelled() bool { return st.ex.Cancelled() }
 
-// phase announces a phase transition: it stamps the previous phase's
-// duration into Timings, fires the PhaseHook, and reports the executor
-// context's error — the pipeline's cancellation boundary. Each phase
-// function runs only when the boundary before it is clean, so a cancelled
-// run unwinds after at most one phase's grain of work, with every output
-// left unconsumed. "done" closes the last phase without opening a new one.
-func (st *pipeline) phase(name string) error {
+// phase announces a phase transition of this run (see phaseClock.phase).
+func (st *pipeline) phase(name string) error { return st.clock.phase(&st.p, name) }
+
+// phaseClock is a run's phase-timing cursor: dur (a field of p.Timings, nil
+// when timings are off or no phase is open) receives the time since t0 at
+// the next transition. Durations accumulate, so a run made of several
+// pipelines — the out-of-core path opens one per window turn — sums each
+// phase over all of them.
+type phaseClock struct {
+	t0  time.Time
+	dur *time.Duration
+}
+
+// phase announces a phase transition: it adds the previous phase's duration
+// to p.Timings, fires p.PhaseHook, and reports the executor context's error
+// — the pipeline's cancellation boundary. Each phase function runs only when
+// the boundary before it is clean, so a cancelled run unwinds after at most
+// one phase's grain of work, with every output left unconsumed. "done"
+// closes the last phase without opening a new one.
+func (c *phaseClock) phase(p *Params, name string) error {
 	now := time.Now()
-	if st.phaseDur != nil {
-		*st.phaseDur = now.Sub(st.phaseT0)
+	if c.dur != nil {
+		*c.dur += now.Sub(c.t0)
 	}
-	st.phaseT0 = now
-	st.phaseDur = nil
-	if tm := st.p.Timings; tm != nil {
+	c.t0 = now
+	c.dur = nil
+	if tm := p.Timings; tm != nil {
 		switch name {
 		case "mark":
-			st.phaseDur = &tm.Mark
+			c.dur = &tm.Mark
 		case "collect":
-			st.phaseDur = &tm.Collect
+			c.dur = &tm.Collect
 		case "graph":
-			st.phaseDur = &tm.Graph
+			c.dur = &tm.Graph
 		case "label":
-			st.phaseDur = &tm.Label
+			c.dur = &tm.Label
 		case "border":
-			st.phaseDur = &tm.Border
+			c.dur = &tm.Border
 		case "coredist":
-			st.phaseDur = &tm.CoreDist
+			c.dur = &tm.CoreDist
 		case "edges":
-			st.phaseDur = &tm.Edges
+			c.dur = &tm.Edges
 		case "mst":
-			st.phaseDur = &tm.MST
+			c.dur = &tm.MST
 		}
 	}
-	if st.p.PhaseHook != nil {
-		st.p.PhaseHook(name)
+	if p.PhaseHook != nil {
+		p.PhaseHook(name)
 	}
-	return st.ex.Err()
+	return p.Exec.Err()
 }
 
 // Run executes the full pipeline on prepared cells (Neighbors must have been
@@ -328,7 +337,7 @@ func Run(cells *grid.Cells, p Params) (*Result, error) {
 	if err := st.phase("border"); err != nil {
 		return nil, err
 	}
-	border := st.clusterBorder(labels, numClusters)
+	border := st.clusterBorder(0, st.cells.NumCells(), labels)
 	if err := st.phase("done"); err != nil {
 		return nil, err
 	}
@@ -363,17 +372,27 @@ func (st *pipeline) initCoreState() {
 func (st *pipeline) collectCore() {
 	numCells := st.cells.NumCells()
 	st.initCoreState()
-	st.ex.ForGrain(numCells, 1, func(g int) { st.collectCellCore(g) })
+	st.collectCells(0, numCells)
 	st.coreCells = prim.FilterIndex(st.ex, numCells, func(g int) bool {
 		return len(st.corePts[g]) > 0
 	})
 }
 
+// collectCells runs collectCellCore over the cells of [lo, hi): every cell
+// for the batch and incremental runs, a window's already-marked prefix for
+// an out-of-core turn.
+func (st *pipeline) collectCells(lo, hi int) {
+	st.ex.ForGrain(hi-lo, 1, func(i int) {
+		if st.cancelled() {
+			return // partial lists; the run bails at the next phase boundary
+		}
+		st.collectCellCore(lo + i)
+	})
+}
+
 // collectCellCore derives cell g's core point list and core bounding box from
-// the core flags (the per-cell body shared by collectCore and the out-of-core
-// path — one implementation, so the paths can never desynchronize). All-core
-// cells alias the cell's row list; small cells write into their disjoint
-// region of the flat coreStore.
+// the core flags. All-core cells alias the cell's row list; small cells
+// write into their disjoint region of the flat coreStore.
 func (st *pipeline) collectCellCore(g int) {
 	c := st.cells
 	d := c.Pts.D

@@ -18,11 +18,11 @@ const autoShardPoints = 1 << 16
 
 // WriteStore persists this Clusterer's grid cell structure and points to path
 // as an mmap-able cell store (internal/cellstore format), laid out
-// shard-contiguously so OpenStoreClusterer + Config.Spill can later cluster
-// the dataset one shard window at a time. shards controls the layout
-// granularity — more shards mean smaller resident windows for Spill runs;
-// shards <= 0 picks roughly one shard per 64k points. The grid structure is
-// built first if no run has needed it yet (with a default worker pool).
+// shard-contiguously so a Clusterer from OpenStoreClusterer can later
+// cluster the dataset one shard window at a time. shards controls the layout
+// granularity — more shards mean smaller resident windows; shards <= 0 picks
+// roughly one shard per 64k points. The grid structure is built first if no
+// run has needed it yet (with a default worker pool).
 //
 // The store records the permutation back to this Clusterer's point order, so
 // runs on the reopened store return labels indexed exactly like runs here.
@@ -48,85 +48,48 @@ func (c *Clusterer) WriteStore(path string, shards int) error {
 	return cellstore.Write(path, cells, part)
 }
 
-// OpenStoreClusterer opens a cell store written by WriteStore and returns a
-// Clusterer backed by it. Spill runs (Config.Spill) stream the store one
-// shard window at a time under Config.MaxResidentBytes; non-Spill runs map
-// the whole point payload (resident on demand via the page cache) and run the
-// normal in-RAM paths. Either way, results are indexed in the point order of
-// the Clusterer that wrote the store — bit-identically equal to that
-// Clusterer's own results for every grid-layout method.
+// OpenStoreClusterer opens a cell store written by WriteStore and returns an
+// out-of-core Clusterer backed by it: every Run sweeps the store one shard
+// halo window at a time (mapped straight from the file), so only a sliver of
+// the point data is ever resident. maxResidentBytes > 0 is a hard budget on
+// the point-data bytes of one window (page rounding included): a window over
+// it fails the run with an error naming the shortfall — rewrite the store
+// with more shards, or raise the budget. 0 means no budget. The run's O(n)
+// bookkeeping (core flags, labels, the cell-level union-find, the store
+// metadata) is small and outside the budget; RunStats.PeakResidentBytes
+// reports what was actually mapped.
 //
-// Call Close when done to release the mappings and the file handle.
-func OpenStoreClusterer(path string) (*Clusterer, error) {
+// Results are indexed in the point order of the Clusterer that wrote the
+// store: bit-identical to that Clusterer's own results for every grid-layout
+// method, and permutation-equal for the 2d-box-* methods (which the store
+// serves from the grid layout). Samplers are rejected at Run (their counting
+// set is the whole dataset), and BuildHierarchy needs an in-memory
+// Clusterer; Prepare is a no-op, since windows need no prebuilt structure.
+//
+// Call Close when done to release the file handle.
+func OpenStoreClusterer(path string, maxResidentBytes int64) (*Clusterer, error) {
+	if maxResidentBytes < 0 {
+		return nil, fmt.Errorf("pdbscan: maxResidentBytes must not be negative, got %d (0 means no budget)", maxResidentBytes)
+	}
 	st, err := cellstore.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	return &Clusterer{
-		// Data stays nil until a non-Spill run maps the payload; the
-		// metadata-only fields serve NumPoints/Dims/Eps and Spill runs.
-		pts:   geom.Points{N: st.NumPoints(), D: st.Dims()},
-		eps:   st.Eps(),
-		arena: core.NewArena(),
-		store: st,
+		// Data stays nil: points are only ever read through window mappings.
+		pts:         geom.Points{N: st.NumPoints(), D: st.Dims()},
+		eps:         st.Eps(),
+		arena:       core.NewArena(),
+		store:       st,
+		maxResident: maxResidentBytes,
 	}, nil
 }
 
-// Close releases a store-backed Clusterer's file handle and whole-payload
-// mapping. It is a no-op for in-memory Clusterers. The Clusterer must not be
-// used after Close.
+// Close releases a store-backed Clusterer's file handle. It is a no-op for
+// in-memory Clusterers. The Clusterer must not be used after Close.
 func (c *Clusterer) Close() error {
 	if c.store == nil {
 		return nil
 	}
-	c.storeMu.Lock()
-	defer c.storeMu.Unlock()
-	if c.storeMap != nil {
-		c.storeMap.Release()
-		c.storeMap = nil
-		c.pts.Data = nil
-	}
 	return c.store.Close()
-}
-
-// ensureMapped makes the whole point payload addressable as c.pts for the
-// in-RAM paths of a store-backed Clusterer. Store order is the layout on
-// disk; results are scattered back to the writer's order by scatterStore.
-func (c *Clusterer) ensureMapped() error {
-	if c.store == nil || c.pts.Data != nil {
-		return nil
-	}
-	c.storeMu.Lock()
-	defer c.storeMu.Unlock()
-	if c.pts.Data != nil {
-		return nil
-	}
-	m, err := c.store.MapPoints(0, c.store.NumCells())
-	if err != nil {
-		return err
-	}
-	c.storeMap = m
-	c.pts.Data = m.Data
-	return nil
-}
-
-// scatterStore re-indexes a store-order result into the writer's original
-// point order through the store's recorded permutation.
-func (c *Clusterer) scatterStore(ex *parallel.Pool, cres *core.Result) {
-	origIdx := c.store.OrigIdx()
-	n := len(cres.Labels)
-	labels := make([]int32, n)
-	coreFlags := make([]bool, n)
-	ex.For(n, func(i int) {
-		oi := origIdx[i]
-		labels[oi] = cres.Labels[i]
-		coreFlags[oi] = cres.Core[i]
-	})
-	border := make(map[int32][]int32, len(cres.Border))
-	for p, ls := range cres.Border {
-		border[int32(origIdx[p])] = ls
-	}
-	cres.Labels = labels
-	cres.Core = coreFlags
-	cres.Border = border
 }

@@ -296,12 +296,6 @@ func (s *StreamingClusterer) RunContext(ctx context.Context, cfg Config) (res *S
 		// tick would invalidate them wholesale. Batch-only by design.
 		return nil, fmt.Errorf("pdbscan: the sampled-core mode is batch-only; StreamingClusterer does not accept Sampler %q", cfg.Sampler)
 	}
-	if cfg.Spill {
-		// Out-of-core runs stream an immutable on-disk store; the dynamic
-		// grid lives in RAM. Use Snapshot/RestoreStreaming to persist
-		// streaming state instead.
-		return nil, fmt.Errorf("pdbscan: out-of-core runs are batch-only; StreamingClusterer does not accept Spill")
-	}
 	params := core.Params{
 		MinPts: cfg.MinPts,
 		Rho:    cfg.Rho,
