@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -18,49 +19,83 @@ type emstQuery struct {
 	LabelsEqual bool    `json:"labels_equal"`
 }
 
+// emstSpec is one row of the experiment: a dataset and the hierarchy's
+// build radius and MinPts. suffix tells its metrics apart in the report.
+type emstSpec struct {
+	dataset string
+	epsMax  float64
+	minPts  int
+	suffix  string
+}
+
+// emstSpecs are the rows: the 2D variable-density build the amortization
+// gate reads, and the 3D build of the paramsearch-3d workload (the d >= 3
+// path, where the forest build dominates a hierarchy's cost).
+var emstSpecs = []emstSpec{
+	{dataset: "ss-varden-2d", epsMax: 30, minPts: 10},
+	{dataset: "ss-simden-3d", epsMax: 100, minPts: 100, suffix: ".3d"},
+}
+
 // expEmst measures the tentpole of the hierarchy subsystem: build the core
 // distances and mutual-reachability EMST once, then answer a 16-eps sweep by
 // CutEps replay, against 16 independent from-scratch runs. Every cut is
 // cross-checked against its run (the same conformance the oracle suite pins)
-// so the speedup cannot come from answering a different question.
+// so the speedup cannot come from answering a different question; the
+// report's queries_equal covers the cuts of every row.
 func expEmst(o options) {
-	const (
-		name   = "ss-varden-2d"
-		minPts = 10
-		epsMax = 30.0
-		sweeps = 16
-	)
-	pts := loadDataset(name, o.n, o.seed)
-	fmt.Printf("EMST sweep: %s n=%d minPts=%d, %d eps in (0, %g]\n\n", name, pts.N, minPts, sweeps, epsMax)
-
 	rep := benchreport.New("emst", effectiveThreads(o.threads), map[string]any{
-		"dataset": name, "n": pts.N, "d": pts.D, "min_pts": minPts, "eps_max": epsMax, "seed": o.seed,
+		"n": o.n, "seed": o.seed,
 	})
+	allEqual := true
+	for _, spec := range emstSpecs {
+		allEqual = emstRow(o, spec, rep) && allEqual
+	}
+	rep.Metrics["queries_equal"] = benchreport.Bool(allEqual)
+	writeReport(o, rep)
+}
+
+// emstRow runs one spec's build and sweep, records its params, metrics and
+// query rows under the spec's suffix, and reports whether every cut equaled
+// its from-scratch run.
+func emstRow(o options, spec emstSpec, rep *benchreport.Report) bool {
+	const sweeps = 16
+	sfx := spec.suffix
+	pts := loadDataset(spec.dataset, o.n, o.seed)
+	fmt.Printf("EMST sweep: %s n=%d minPts=%d, %d eps in (0, %g]\n\n", spec.dataset, pts.N, spec.minPts, sweeps, spec.epsMax)
+	rep.Params["dataset"+sfx] = spec.dataset
+	rep.Params["d"+sfx] = pts.D
+	rep.Params["min_pts"+sfx] = spec.minPts
+	rep.Params["eps_max"+sfx] = spec.epsMax
+
 	var queries []emstQuery
 	// sweepNS is the build plus every cut; batchNS is the sum of the
 	// independent runs, each paying its own eps-keyed grid construction,
 	// exactly what a caller without the hierarchy would pay.
 	var sweepNS, batchNS, queryMaxNS int64
 	allEqual := true
+	ctx := context.Background()
 
-	c, err := pdbscan.NewClustererFlat(pts.Data, pts.D, epsMax)
+	c, err := pdbscan.NewClustererFlat(pts.Data, pts.D, spec.epsMax)
 	if err != nil {
 		fatalf("emst: %v", err)
 	}
 	start := time.Now()
-	h, err := c.BuildHierarchy(minPts)
+	h, err := c.BuildHierarchyContext(ctx, pdbscan.Config{MinPts: spec.minPts, Workers: o.threads})
 	if err != nil {
 		fatalf("emst: BuildHierarchy: %v", err)
 	}
 	build := time.Since(start)
-	fmt.Printf("build: %d MR-EMST edges in %v\n", h.NumEdges(), build.Round(time.Millisecond))
+	st := h.BuildStats()
+	fmt.Printf("build: %d MR-EMST edges in %v (core distances %v, Borůvka %v: %d rounds, %d distance evaluations)\n",
+		h.NumEdges(), build.Round(time.Millisecond), st.CoreDist.Round(time.Millisecond),
+		st.Edges.Round(time.Millisecond), st.Rounds, st.DistEvals)
 
 	tbl := newTable("hierarchy cut vs from-scratch run",
 		"eps", "clusters", "cut", "run", "equal")
 	for i := 1; i <= sweeps; i++ {
-		eps := epsMax * float64(i) / sweeps
+		eps := spec.epsMax * float64(i) / sweeps
 		start = time.Now()
-		cut, err := h.CutEps(eps)
+		cut, err := h.CutEpsContext(ctx, eps, o.threads)
 		if err != nil {
 			fatalf("emst: CutEps(%g): %v", eps, err)
 		}
@@ -71,7 +106,7 @@ func expEmst(o options) {
 		if err != nil {
 			fatalf("emst: %v", err)
 		}
-		run, err := cb.Run(pdbscan.Config{MinPts: minPts, Bucketing: true, Workers: o.threads})
+		run, err := cb.Run(pdbscan.Config{MinPts: spec.minPts, Bucketing: true, Workers: o.threads})
 		if err != nil {
 			fatalf("emst: Run(eps=%g): %v", eps, err)
 		}
@@ -109,27 +144,29 @@ func expEmst(o options) {
 		time.Duration(queryAvgNS).Round(time.Microsecond),
 		time.Duration(batchNS).Round(time.Millisecond),
 		amortization, allEqual)
-	fmt.Printf("ExtractStable: %d stable clusters in %v\n",
+	fmt.Printf("ExtractStable: %d stable clusters in %v\n\n",
 		stable.NumClusters, extract.Round(time.Millisecond))
 
 	// amortization_ratio (batch over sweep) is the gated speedup of one
-	// build plus cheap cuts; queries_equal is 1 when every cut was
-	// label-permutation-equal to its from-scratch run (the oracle suite's
-	// equivalence).
-	rep.Metrics = map[string]float64{
+	// build plus cheap cuts; rounds and dist_evals are the forest build's
+	// work counters.
+	for name, v := range map[string]float64{
 		"num_edges":          float64(h.NumEdges()),
 		"build_ns":           float64(build.Nanoseconds()),
+		"rounds":             float64(st.Rounds),
+		"dist_evals":         float64(st.DistEvals),
 		"sweep_ns":           float64(sweepNS),
 		"batch_ns":           float64(batchNS),
 		"query_avg_ns":       float64(queryAvgNS),
 		"query_max_ns":       float64(queryMaxNS),
 		"amortization_ratio": amortization,
-		"queries_equal":      benchreport.Bool(allEqual),
 		"extract_ns":         float64(extract.Nanoseconds()),
 		"stable_clusters":    float64(stable.NumClusters),
+	} {
+		rep.Metrics[name+sfx] = v
 	}
-	rep.Rows["queries"] = queries
-	writeReport(o, rep)
+	rep.Rows["queries"+sfx] = queries
+	return allEqual
 }
 
 // equivalentClusterings reports whether two results describe the same

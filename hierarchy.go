@@ -56,14 +56,22 @@ type Hierarchy struct {
 }
 
 // HierarchyStats describes one completed BuildHierarchy: phase wall-clock
-// times and the size of the structure.
+// times, the work of the forest build and the size of the structure.
 type HierarchyStats struct {
 	CoreDist time.Duration // per-point core distance pass
-	Edges    time.Duration // mutual-reachability enumeration + per-block Kruskal
-	MST      time.Duration // global sort + final Kruskal
+	Edges    time.Duration // Borůvka rounds building the mutual-reachability forest
+	MST      time.Duration // sort of the forest by weight
 	Total    time.Duration
 	NumEdges int // forest edges kept
 	Workers  int
+
+	// Rounds is the number of Borůvka rounds the forest build ran; the last
+	// finds no edge. DistEvals counts the point-pair distances those rounds
+	// evaluated. Both are work counters: DistEvals can vary slightly between
+	// builds on more than one worker, since a component's best-so-far edge
+	// prunes other searches as soon as it is found; the forest does not.
+	Rounds    int
+	DistEvals int64
 }
 
 // lazyHierarchy caches one MinPts' hierarchy on the Clusterer, following the
@@ -203,12 +211,14 @@ func (c *Clusterer) buildHierarchy(minPts int, ex *parallel.Pool) (*Hierarchy, e
 		edges:    hd.Edges,
 		cdSorted: cdSorted,
 		stats: HierarchyStats{
-			CoreDist: tm.CoreDist,
-			Edges:    tm.Edges,
-			MST:      tm.MST,
-			Total:    time.Since(start),
-			NumEdges: len(hd.Edges),
-			Workers:  ex.Workers(),
+			CoreDist:  tm.CoreDist,
+			Edges:     tm.Edges,
+			MST:       tm.MST,
+			Total:     time.Since(start),
+			NumEdges:  len(hd.Edges),
+			Workers:   ex.Workers(),
+			Rounds:    tm.Rounds,
+			DistEvals: tm.DistEvals,
 		},
 		replayUF: unionfind.New(cells.Pts.N),
 	}, nil

@@ -5,8 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
+
+	"pdbscan/internal/core"
+	"pdbscan/internal/unionfind"
 )
 
 // hierarchyEpsGrid is the ascending query grid the property tests sweep.
@@ -131,38 +136,111 @@ func TestHierarchyCutDeterminism(t *testing.T) {
 	}
 }
 
+// tieLattice3D is a dense, tie-heavy 3D input: the 9x9x9 integer lattice
+// plus a duplicate of every fifth lattice point, so core distances and
+// edge weights tie across most of the point set.
+func tieLattice3D() [][]float64 {
+	var rows [][]float64
+	for i := 0; i < 9*9*9; i++ {
+		p := []float64{float64(i % 9), float64(i / 9 % 9), float64(i / 81)}
+		rows = append(rows, p)
+		if i%5 == 0 {
+			rows = append(rows, []float64{p[0], p[1], p[2]})
+		}
+	}
+	return rows
+}
+
 // TestHierarchyBuildDeterminism: the structure itself (core distances and
-// the forest edge list) is identical regardless of the worker budget — the
-// strict total edge order makes the MSF unique, so block boundaries cannot
-// leak into the output.
+// the forest edge list, endpoints included) is identical regardless of the
+// worker budget. The tie-heavy lattice is the hard case: a component's
+// best-so-far edge prunes other searches in whatever order the workers run,
+// and with weights tied everywhere, any leak of that order into a choice
+// would change endpoints. It must take at least three Borůvka rounds, so
+// that later rounds run over merged components.
 func TestHierarchyBuildDeterminism(t *testing.T) {
-	rows := blobs(1200, 3, 29)
-	var ref *Hierarchy
-	for _, workers := range []int{1, 2, 7} {
-		c, err := NewClusterer(rows, 3.0)
+	for _, in := range []struct {
+		name   string
+		rows   [][]float64
+		eps    float64
+		minPts int
+	}{
+		{"blobs", blobs(1200, 3, 29), 3.0, 5},
+		{"tie-lattice", tieLattice3D(), 2.5, 10},
+	} {
+		var ref *Hierarchy
+		for _, workers := range []int{1, 2, 7} {
+			c, err := NewClusterer(in.rows, in.eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := c.BuildHierarchyContext(context.Background(), Config{MinPts: in.minPts, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := h.BuildStats().Rounds; in.name == "tie-lattice" && r < 3 {
+				t.Fatalf("%s workers=%d: %d Borůvka rounds, want at least 3", in.name, workers, r)
+			}
+			if ref == nil {
+				ref = h
+				continue
+			}
+			for i, v := range h.cd2 {
+				if v != ref.cd2[i] && !(math.IsInf(v, 1) && math.IsInf(ref.cd2[i], 1)) {
+					t.Fatalf("%s workers=%d: cd2[%d] = %v vs %v", in.name, workers, i, v, ref.cd2[i])
+				}
+			}
+			if len(h.edges) != len(ref.edges) {
+				t.Fatalf("%s workers=%d: %d edges vs %d", in.name, workers, len(h.edges), len(ref.edges))
+			}
+			for i, e := range h.edges {
+				if e != ref.edges[i] {
+					t.Fatalf("%s workers=%d: edge %d = %+v vs %+v", in.name, workers, i, e, ref.edges[i])
+				}
+			}
+		}
+	}
+}
+
+// TestHierarchyWorkCounters: a build reports its Borůvka rounds and
+// distance evaluations. Each round at least halves the components that
+// still have an edge, and the last round finds none, so 1 <= Rounds <=
+// ⌈log2 m⌉ + 1 for m core-capable points.
+func TestHierarchyWorkCounters(t *testing.T) {
+	for _, in := range []struct {
+		name   string
+		rows   [][]float64
+		eps    float64
+		minPts int
+	}{
+		{"blobs-2d", blobs(2000, 2, 5), 3.0, 5},
+		{"blobs-3d", blobs(1500, 3, 6), 4.0, 10},
+		{"tie-lattice", tieLattice3D(), 2.5, 10},
+		{"minpts-1", blobs(800, 2, 7), 2.0, 1},
+	} {
+		c, err := NewClusterer(in.rows, in.eps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := c.BuildHierarchyContext(context.Background(), Config{MinPts: 5, Workers: workers})
+		h, err := c.BuildHierarchy(in.minPts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref == nil {
-			ref = h
-			continue
-		}
-		for i, v := range h.cd2 {
-			if v != ref.cd2[i] && !(math.IsInf(v, 1) && math.IsInf(ref.cd2[i], 1)) {
-				t.Fatalf("workers=%d: cd2[%d] = %v vs %v", workers, i, v, ref.cd2[i])
+		st := h.BuildStats()
+		m := 0
+		for _, v := range h.cd2 {
+			if v <= h.eps2 {
+				m++
 			}
 		}
-		if len(h.edges) != len(ref.edges) {
-			t.Fatalf("workers=%d: %d edges vs %d", workers, len(h.edges), len(ref.edges))
+		if m < 2 || st.NumEdges == 0 {
+			t.Fatalf("%s: %d core-capable points and %d edges; the input should have both", in.name, m, st.NumEdges)
 		}
-		for i, e := range h.edges {
-			if e != ref.edges[i] {
-				t.Fatalf("workers=%d: edge %d = %+v vs %+v", workers, i, e, ref.edges[i])
-			}
+		if limit := int(math.Ceil(math.Log2(float64(m)))) + 1; st.Rounds < 1 || st.Rounds > limit {
+			t.Fatalf("%s: %d rounds for %d core-capable points, want 1..%d", in.name, st.Rounds, m, limit)
+		}
+		if st.DistEvals < int64(st.NumEdges) {
+			t.Fatalf("%s: %d distance evaluations for %d edges", in.name, st.DistEvals, st.NumEdges)
 		}
 	}
 }
@@ -459,6 +537,133 @@ func TestHierarchyExtractStable(t *testing.T) {
 		// All three blobs are under 200 points, so only the root component
 		// (everything merged below eps=60) can qualify.
 		t.Fatalf("minClusterSize=200: %d clusters", srBig.NumClusters)
+	}
+}
+
+// TestExtractStableMSFInvariant: ExtractStable answers for the graph, not
+// for the forest it happens to hold. The input is tie-heavy: two 10x10
+// integer lattices three units apart, with duplicates of some interior
+// points, and a pair of points midway between them. The pair joins both
+// lattices at one weight, in edges that tie; a forest that lists the left
+// lattice's tied edges first nests the pair under it, one that lists the
+// right lattice's first nests it under that one. Two minimum spanning
+// forests from brute-force Kruskal — ties broken by ascending and by
+// descending (A, B) — must still give label-permutation-equal extractions
+// with the same multiset of stabilities, and so must the built forest.
+func TestExtractStableMSFInvariant(t *testing.T) {
+	var rows [][]float64
+	for _, x0 := range []float64{0, 12} {
+		for i := 0; i < 100; i++ {
+			x, y := x0+float64(i%10), float64(i/10)
+			rows = append(rows, []float64{x, y})
+			if i%7 == 0 && (x <= 6 || x >= 15) {
+				rows = append(rows, []float64{x, y})
+			}
+		}
+	}
+	rows = append(rows, []float64{10.5, 4}, []float64{10.5, 5})
+	const eps, minPts = 2.0, 6
+	c, err := NewClusterer(rows, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := c.BuildHierarchy(minPts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every candidate edge, then Kruskal under each tie-break.
+	var cand []core.MREdge
+	for a := range rows {
+		for b := a + 1; b < len(rows); b++ {
+			d2 := 0.0
+			for j := range rows[a] {
+				dd := rows[a][j] - rows[b][j]
+				d2 += dd * dd
+			}
+			if w := max(h.cd2[a], h.cd2[b], d2); w <= h.eps2 {
+				cand = append(cand, core.MREdge{W2: w, A: int32(a), B: int32(b)})
+			}
+		}
+	}
+	kruskal := func(desc bool) []core.MREdge {
+		es := slices.Clone(cand)
+		sort.Slice(es, func(i, j int) bool {
+			x, y := es[i], es[j]
+			if x.W2 != y.W2 {
+				return x.W2 < y.W2
+			}
+			if x.A != y.A {
+				return (x.A < y.A) != desc
+			}
+			return (x.B < y.B) != desc
+		})
+		uf := unionfind.New(len(rows))
+		var out []core.MREdge
+		for _, e := range es {
+			if uf.Find(e.A) != uf.Find(e.B) {
+				uf.Union(e.A, e.B)
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	asc, desc := kruskal(false), kruskal(true)
+	if slices.Equal(asc, desc) {
+		t.Fatal("the two forests are identical; the input has too few ties to test anything")
+	}
+	extract := func(edges []core.MREdge) *StableResult {
+		hf := &Hierarchy{minPts: h.minPts, eps: h.eps, eps2: h.eps2, cd2: h.cd2, edges: edges}
+		sr, err := hf.ExtractStable(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sr
+	}
+	for _, w := range []struct {
+		name  string
+		edges []core.MREdge
+	}{{"descending", desc}, {"built", h.edges}} {
+		for i := range asc {
+			if asc[i].W2 != w.edges[i].W2 {
+				t.Fatalf("%s forest: sorted weight %d = %v vs %v", w.name, i, w.edges[i].W2, asc[i].W2)
+			}
+		}
+		a, b := extract(asc), extract(w.edges)
+		if a.NumClusters < 2 {
+			t.Fatalf("%d stable clusters; the input should have several", a.NumClusters)
+		}
+		if a.NumClusters != b.NumClusters {
+			t.Fatalf("%s forest: %d stable clusters vs %d", w.name, b.NumClusters, a.NumClusters)
+		}
+		perm := make([]int32, a.NumClusters)
+		for i := range perm {
+			perm[i] = -1
+		}
+		for i, la := range a.Labels {
+			lb := b.Labels[i]
+			if (la < 0) != (lb < 0) {
+				t.Fatalf("%s forest: point %d labeled %d vs %d", w.name, i, lb, la)
+			}
+			if la < 0 {
+				continue
+			}
+			if perm[la] == -1 {
+				perm[la] = lb
+			} else if perm[la] != lb {
+				t.Fatalf("%s forest: point %d labeled %d, its cluster elsewhere %d", w.name, i, lb, perm[la])
+			}
+		}
+		stab := func(sr *StableResult) []float64 {
+			var s []float64
+			for _, cl := range sr.Clusters {
+				s = append(s, cl.Stability)
+			}
+			slices.Sort(s)
+			return s
+		}
+		if sa, sb := stab(a), stab(b); !slices.Equal(sa, sb) {
+			t.Fatalf("%s forest: stabilities %v vs %v", w.name, sb, sa)
+		}
 	}
 }
 

@@ -64,16 +64,7 @@ type workerScratch struct {
 	nbrOrder []int32   // markCellCore: neighbor cells, ascending box distance
 	nbrDist  []float64 // markCellCore: the distances of nbrOrder
 	sorter   nbrSorter // markCellCore: allocation-free sort.Sort adapter
-
-	kthHeap   []float64    // cellCoreDistances: bounded max-heap of the k smallest d2
-	mrEdges   []MREdge     // mrEdgeParts: per-block candidate edge buffer
-	mrUF      unionfind.UF // mrEdgeParts: per-block Kruskal compaction state
-	primOwn   []int32      // cellMREdges: own-cell core-capable vertex list
-	primVerts []int32      // cellMREdges: per-cell-pair bipartite vertex list
-	primKey   []float64    // primForest: best edge weight to the growing tree
-	primFrom  []int32      // primForest: tree endpoint (original index) of the best edge
-	primSide  []bool       // primForest: bipartite side flag per vertex
-	primID    []int32      // primForest: original point index per vertex (tie-break)
+	kthHeap  []float64 // cellCoreDistances: bounded max-heap of the k smallest d2
 }
 
 // getRun checks a runScratch out of the arena (a fresh one when the arena is

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"pdbscan/internal/grid"
 	"pdbscan/internal/prim"
@@ -42,14 +43,9 @@ type HierarchyData struct {
 	Edges     []MREdge
 }
 
-// lessEdge is the strict total order on candidate edges: by weight, ties by
-// (A, B). Candidate pairs are enumerated exactly once, so no two candidates
-// compare equal; a strict total order makes the minimum spanning forest
-// unique, which in turn makes the per-block Kruskal compaction exact (the
-// cycle property with strict order: an edge that is the order-maximum on a
-// cycle within any subset of the edges is the order-maximum on that cycle in
-// the full graph too, so it is never in the MSF) and the whole build
-// deterministic — independent of worker count and block boundaries.
+// lessEdge is the strict total order on forest edges: by weight, ties by
+// (A, B). It orders each Borůvka round's per-component choices, and the
+// final forest is sorted by it.
 func lessEdge(x, y MREdge) bool {
 	if x.W2 != y.W2 {
 		return x.W2 < y.W2
@@ -59,12 +55,6 @@ func lessEdge(x, y MREdge) bool {
 	}
 	return x.B < y.B
 }
-
-// edgeChunk is the per-block candidate-edge budget between Kruskal
-// compactions. After a compaction the buffer holds at most n-1 edges (an
-// MSF), so per-block memory stays O(n + edgeChunk) no matter how many
-// candidate pairs the block enumerates.
-const edgeChunk = 1 << 16
 
 // ComputeHierarchy computes the squared core distances and the
 // mutual-reachability MSF over prepared cells. Params are interpreted as for
@@ -92,11 +82,11 @@ func ComputeHierarchy(cells *grid.Cells, p Params) (*HierarchyData, error) {
 	if err := st.phase("edges"); err != nil {
 		return nil, err
 	}
-	parts := st.mrEdgeParts(cd2)
+	edges := st.boruvka(cd2)
 	if err := st.phase("mst"); err != nil {
 		return nil, err
 	}
-	edges := st.mergeMSF(parts)
+	prim.Sort(st.ex, edges, lessEdge)
 	coreDist2 := make([]float64, cells.Pts.N) // escapes into HierarchyData; never pooled
 	st.ex.For(len(cd2), func(r int) { coreDist2[cells.Order[r]] = cd2[r] })
 	if err := st.phase("done"); err != nil {
@@ -138,19 +128,7 @@ func (st *pipeline) cellCoreDistances(g int, ws *workerScratch, cd2 []float64) {
 	minPts := st.p.MinPts
 	eps2 := st.eps2
 
-	ord := ws.nbrOrder[:0]
-	dist := ws.nbrDist[:0]
-	for _, h := range c.Neighbors[g] {
-		d2 := st.k.BoxBoxDistSqAt(c.BBLo, c.BBHi, int32(g), h)
-		if d2 > eps2 {
-			continue
-		}
-		ord = append(ord, h)
-		dist = append(dist, d2)
-	}
-	sortNeighborsByDist(ws, ord, dist)
-	ws.nbrOrder, ws.nbrDist = ord, dist // keep grown capacity
-
+	ord, dist := st.nearNeighbors(g, ws)
 	for p := cs[g]; p < cs[g+1]; p++ {
 		h := ws.kthHeap[:0]
 		// Own cell first: includes p itself at distance 0, matching the
@@ -193,6 +171,26 @@ func (st *pipeline) cellCoreDistances(g int, ws *workerScratch, cd2 []float64) {
 	}
 }
 
+// nearNeighbors returns cell g's neighbor cells whose boxes lie within eps
+// of g's, ascending by box distance (ties by cell index), with those
+// distances. Both slices live in ws until the next call.
+func (st *pipeline) nearNeighbors(g int, ws *workerScratch) ([]int32, []float64) {
+	c := st.cells
+	ord := ws.nbrOrder[:0]
+	dist := ws.nbrDist[:0]
+	for _, h := range c.Neighbors[g] {
+		d2 := st.k.BoxBoxDistSqAt(c.BBLo, c.BBHi, int32(g), h)
+		if d2 > st.eps2 {
+			continue
+		}
+		ord = append(ord, h)
+		dist = append(dist, d2)
+	}
+	sortNeighborsByDist(ws, ord, dist)
+	ws.nbrOrder, ws.nbrDist = ord, dist // keep grown capacity
+	return ord, dist
+}
+
 // heapPushBounded maintains a max-heap of the k smallest values seen: push
 // while below capacity, replace the root when a smaller value arrives. The
 // root h[0] is the current k-th smallest.
@@ -232,222 +230,302 @@ func heapPushBounded(h []float64, v float64, k int) []float64 {
 	}
 }
 
-// mrEdgeParts enumerates the mutual-reachability candidate edges per block of
-// cells and reduces each block to the MSF of its own candidates via chunked
-// local Kruskal (filter-Kruskal style). Each unordered pair is enumerated by
-// exactly one block — own-cell pairs by index order, cross-cell pairs by the
-// lower cell — so the concatenation of the parts is a duplicate-free edge
-// set whose MSF equals the MSF of all candidates (each block keeps a
-// superset of the global MSF edges among its candidates, by the cycle
-// property under the strict total order).
-func (st *pipeline) mrEdgeParts(cd2 []float64) [][]MREdge {
+// The edges phase is Borůvka over the grid. Every round, each component
+// finds its lightest mutual-reachability edge to another component within
+// eps, and the chosen edges join the forest through a union-find; the rounds
+// repeat until no component has such an edge. Each round at least halves the
+// number of components that still have one, so there are at most
+// ⌈log2 m⌉ + 1 rounds for m core-capable points.
+//
+// What makes a round cheap is the weight bound w2(p,q) >= max(cd2(p),
+// cd2(q)) (Wang, Yu, Gu and Shun, "Fast Parallel Algorithms for Euclidean
+// Minimum Spanning Tree and Hierarchical Spatial Clustering"): a point's
+// search stops at the first edge weighing its own cd2, skips any cell whose
+// box distance or least cd2 is already no lighter than its best edge, and
+// scans a cell's points in ascending cd2 only until cd2 reaches that best
+// edge.
+//
+// Exactness: every chosen edge is a lightest edge leaving its component, so
+// the forest is a minimum spanning forest (choices can close a cycle only
+// among edges of equal weight, and the union-find drops one of them), and
+// any two minimum spanning forests of one graph share their sorted weights. Where weights tie, the
+// endpoints are one valid choice among several. Determinism: a point's
+// search visits cells and points in a fixed order, keeps the first lightest
+// edge it meets, and depends only on the round's components; each component
+// keeps the lessEdge-least of its points' edges, and a round's choices join
+// the forest in lessEdge order. The one racy input — a component's
+// best-so-far, which lets a point whose cd2 exceeds it skip its search — is
+// read with a strict comparison, so it only ever drops edges strictly
+// heavier than the component's choice. The forest is therefore independent
+// of worker count and scheduling.
+
+// mrGraph is the edges phase's view of the core-capable points (cd2 <=
+// eps2; no other point has an edge): one slot per such point, grouped by
+// cell and, within a cell, ascending by (cd2, original index). Cells are the
+// grid's; a cell without core-capable points has no slots and appears in no
+// neighbor list.
+type mrGraph struct {
+	cd2   []float64 // per slot
+	row   []int32   // per slot: payload row
+	start []int32   // per cell: its slots are [start[g], start[g+1])
+	nbrs  [][]mrNbr // per cell with slots: itself, then its neighbors with slots
+
+	// Per-round state.
+	comp     []int32         // per slot: its component, the union-find root
+	cellComp []int32         // per cell: the component all its slots share, or -1
+	bound    []atomic.Uint64 // per component: float64 bits of the lightest edge found so far
+	candW    []float64       // per slot: weight of its lightest edge to another component
+	candQ    []int32         // per slot: that edge's far slot, or -1 for none
+}
+
+// mrNbr is one neighbor of a cell, in nearNeighbors order.
+type mrNbr struct {
+	d2 float64 // squared box-box distance
+	h  int32
+}
+
+// newMRGraph lays out the slots and the neighbor lists.
+func (st *pipeline) newMRGraph(cd2 []float64) *mrGraph {
 	c := st.cells
 	numCells := c.NumCells()
-	n := c.Pts.N
-	nb := st.ex.NumBlocks(numCells, 1)
-	parts := make([][]MREdge, nb)
-	st.ex.BlockedForIdx(numCells, 1, func(b, lo, hi int) {
+	start := make([]int32, numCells+1)
+	st.ex.For(numCells, func(g int) {
+		for _, v := range cd2[c.CellStart[g]:c.CellStart[g+1]] {
+			if v <= st.eps2 {
+				start[g+1]++
+			}
+		}
+	})
+	nbrOff := make([]int32, numCells+1)
+	for g := range numCells {
+		start[g+1] += start[g]
+		nbrOff[g+1] = nbrOff[g]
+		if start[g+1] > start[g] {
+			nbrOff[g+1] += int32(len(c.Neighbors[g])) + 1
+		}
+	}
+	m := int(start[numCells])
+	mg := &mrGraph{
+		cd2:      make([]float64, m),
+		row:      make([]int32, m),
+		start:    start,
+		nbrs:     make([][]mrNbr, numCells),
+		comp:     make([]int32, m),
+		cellComp: make([]int32, numCells),
+		bound:    make([]atomic.Uint64, m),
+		candW:    make([]float64, m),
+		candQ:    make([]int32, m),
+	}
+	nbrStore := make([]mrNbr, nbrOff[numCells])
+	st.ex.BlockedFor(numCells, 1, func(lo, hi int) {
 		ws := st.getWS()
-		buf := ws.mrEdges[:0]
-		limit := edgeChunk
-		compact := func() {
-			slices.SortFunc(buf, func(x, y MREdge) int {
-				if lessEdge(x, y) {
-					return -1
-				}
-				return 1
-			})
-			ws.mrUF.Reset(n)
-			keep := buf[:0]
-			for _, e := range buf {
-				if ws.mrUF.Find(e.A) != ws.mrUF.Find(e.B) {
-					ws.mrUF.Union(e.A, e.B)
-					keep = append(keep, e)
-				}
-			}
-			buf = keep
-		}
 		for g := lo; g < hi; g++ {
-			if st.cancelled() {
-				break // partial parts; the next phase boundary discards them
+			s := mg.row[start[g]:start[g]]
+			for r := c.CellStart[g]; r < c.CellStart[g+1]; r++ {
+				if cd2[r] <= st.eps2 {
+					s = append(s, r)
+				}
 			}
-			buf = st.cellMREdges(g, cd2, ws, buf)
-			if len(buf) >= limit {
-				compact()
-				limit = len(buf) + edgeChunk
+			if len(s) == 0 {
+				continue
 			}
+			slices.SortFunc(s, func(a, b int32) int {
+				if cd2[a] != cd2[b] {
+					if cd2[a] < cd2[b] {
+						return -1
+					}
+					return 1
+				}
+				return int(c.Order[a]) - int(c.Order[b])
+			})
+			for i, r := range s {
+				mg.cd2[int(start[g])+i] = cd2[r]
+			}
+			out := append(nbrStore[nbrOff[g]:nbrOff[g]], mrNbr{h: int32(g)})
+			ord, dist := st.nearNeighbors(g, ws)
+			for i, h := range ord {
+				if start[h+1] > start[h] {
+					out = append(out, mrNbr{d2: dist[i], h: h})
+				}
+			}
+			mg.nbrs[g] = out
 		}
-		compact()
-		out := make([]MREdge, len(buf))
-		copy(out, buf)
-		parts[b] = out
-		ws.mrEdges = buf[:0] // keep grown capacity
 		st.putWS(ws)
 	})
-	return parts
+	return mg
 }
 
-// cellMREdges appends cell g's surviving candidate edges to buf. The
-// candidate pairs are those where both endpoints have a finite core distance
-// (cd2 <= eps2) and d2 <= eps2 — only such pairs can ever connect at a
-// queryable threshold, and every pair within eps shares a cell or a
-// neighboring cell, so the grid realizes the whole graph.
-//
-// Rather than buffering every candidate pair (quadratic in the ball
-// occupancy, and each buffered edge later pays a comparison sort in the
-// Kruskal compaction), each cell-local subgraph — the own-cell clique and
-// each cross-cell bipartite graph, owned by the lower cell — is reduced on
-// the fly to a minimum spanning forest by a dense Prim scan. Prim touches
-// each candidate pair exactly once with a compare-and-store (no sort, no
-// union-find) and emits at most |subgraph|-1 edges. Any MSF of a subgraph
-// preserves that subgraph's connectivity at every weight threshold, and
-// threshold connectivity is union-monotone across subgraphs, so the union of
-// the per-subgraph forests supports the exact same CutEps answers as the
-// full candidate set; the deterministic tie-breaks below (first-seen edge
-// wins, minimum (key, id) vertex next) make the emitted set independent of
-// worker count, and the final total-order Kruskal does the rest.
-func (st *pipeline) cellMREdges(g int, cd2 []float64, ws *workerScratch, buf []MREdge) []MREdge {
-	c := st.cells
-	eps2 := st.eps2
-
-	// Own-cell clique over the core-capable points.
-	own := ws.primOwn[:0]
-	for _, p := range c.RowsOf(g) {
-		if cd2[p] <= eps2 {
-			own = append(own, p)
-		}
-	}
-	ws.primOwn = own
-	buf = st.primForest(own, 0, cd2, ws, buf)
-
-	for _, nb := range c.Neighbors[g] {
-		if nb <= int32(g) {
-			continue // the lower cell of the pair owns the enumeration
-		}
-		if st.k.BoxBoxDistSqAt(c.BBLo, c.BBHi, int32(g), nb) > eps2 {
-			continue
-		}
-		// Bipartite subgraph: cell g's side first, then the neighbor's.
-		// Points whose box distance to the far cell exceeds eps cannot have
-		// a cross edge and would only be isolated Prim vertices.
-		verts := ws.primVerts[:0]
-		for _, p := range own {
-			if st.k.PointBoxDistSqAt(p, c.BBLo, c.BBHi, nb) <= eps2 {
-				verts = append(verts, p)
-			}
-		}
-		split := len(verts)
-		if split == 0 {
-			ws.primVerts = verts
-			continue
-		}
-		for _, q := range c.RowsOf(int(nb)) {
-			if cd2[q] <= eps2 && st.k.PointBoxDistSqAt(q, c.BBLo, c.BBHi, int32(g)) <= eps2 {
-				verts = append(verts, q)
-			}
-		}
-		ws.primVerts = verts
-		if len(verts) == split {
-			continue
-		}
-		buf = st.primForest(verts, split, cd2, ws, buf)
-	}
-	return buf
-}
-
-// primForest appends a minimum spanning forest of one cell-local subgraph to
-// buf via a dense Prim scan with forest restarts. verts lists the subgraph's
-// payload rows; split selects the edge set: split == 0 means the complete
-// graph on verts (own-cell pairs, still subject to d2 <= eps2), split > 0
-// means the bipartite graph between verts[:split] and verts[split:]
-// (cross-cell pairs).
-// Pairs beyond eps are absent (weight +Inf). Each candidate pair's distance
-// is computed exactly once — when its first endpoint joins the tree.
-//
-// Determinism: the next vertex is the unattached one with the minimum
-// (key, id), where id is the vertex's original point index (Order[row]), and
-// a key is only replaced by a strictly smaller weight, so the emitted edge
-// set depends solely on the subgraph, not on worker count, scan history or
-// row numbering. Restarts (key +Inf) start a new tree without emitting.
-// Emitted endpoints are original point indices.
-func (st *pipeline) primForest(verts []int32, split int, cd2 []float64, ws *workerScratch, buf []MREdge) []MREdge {
-	m := len(verts)
-	if m < 2 {
-		return buf
-	}
-	eps2 := st.eps2
-	key := ws.primKey
-	if cap(key) < m {
-		key = make([]float64, m)
-	}
-	key = key[:m]
-	from := ws.primFrom
-	if cap(from) < m {
-		from = make([]int32, m)
-	}
-	from = from[:m]
-	side := ws.primSide
-	if cap(side) < m {
-		side = make([]bool, m)
-	}
-	side = side[:m]
-	id := ws.primID
-	if cap(id) < m {
-		id = make([]int32, m)
-	}
-	id = id[:m]
+// edge returns slot p's current candidate as a forest edge.
+func (st *pipeline) edge(mg *mrGraph, p int32) MREdge {
 	order := st.cells.Order
-	for i := range key {
-		key[i] = math.Inf(1)
-		from[i] = -1
-		side[i] = i >= split
-		id[i] = order[verts[i]]
-	}
-	ws.primKey, ws.primFrom, ws.primSide, ws.primID = key, from, side, id
+	return makeMREdge(order[mg.row[p]], order[mg.row[mg.candQ[p]]], mg.candW[p])
+}
 
-	for step := 0; step < m; step++ {
-		best := step
-		for j := step + 1; j < m; j++ {
-			if key[j] < key[best] || (key[j] == key[best] && id[j] < id[best]) {
-				best = j
+// boruvka runs the edges phase: Borůvka rounds over mrGraph until no
+// component has an edge within eps. The forest comes back unsorted; the
+// caller sorts it. The rounds and distance evaluations are added to
+// p.Timings when set.
+func (st *pipeline) boruvka(cd2 []float64) []MREdge {
+	mg := st.newMRGraph(cd2)
+	m := len(mg.cd2)
+	numCells := len(mg.cellComp)
+	var rounds int
+	var evals int64
+	uf := &st.rs.uf
+	uf.Reset(m)
+	bestOf := make([]int32, m) // per component: the slot holding its choice, or -1
+	var chosen []int32
+	var forest []MREdge
+	inf := math.Float64bits(math.Inf(1))
+	for !st.cancelled() {
+		rounds++
+		st.ex.For(m, func(i int) {
+			mg.comp[i] = uf.Find(int32(i))
+			mg.bound[i].Store(inf)
+			bestOf[i] = -1
+		})
+		st.ex.For(numCells, func(g int) {
+			cg := int32(-1)
+			for i, cq := range mg.comp[mg.start[g]:mg.start[g+1]] {
+				if i == 0 {
+					cg = cq
+				} else if cq != cg {
+					cg = -1
+					break
+				}
 			}
+			mg.cellComp[g] = cg
+		})
+		var roundEvals atomic.Int64
+		st.ex.BlockedFor(numCells, 1, func(lo, hi int) {
+			var n int64
+			for g := lo; g < hi && !st.cancelled(); g++ {
+				n += st.searchCell(mg, int32(g))
+			}
+			roundEvals.Add(n)
+		})
+		evals += roundEvals.Load()
+		if st.cancelled() {
+			break // partial candidates; ComputeHierarchy bails at the boundary
 		}
-		if best != step {
-			verts[step], verts[best] = verts[best], verts[step]
-			key[step], key[best] = key[best], key[step]
-			from[step], from[best] = from[best], from[step]
-			side[step], side[best] = side[best], side[step]
-			id[step], id[best] = id[best], id[step]
-		}
-		v := verts[step]
-		cv := cd2[v]
-		if from[step] >= 0 {
-			buf = append(buf, makeMREdge(from[step], id[step], key[step]))
-		}
-		// Relax the unattached vertices against v. In the bipartite case
-		// only the opposite side is adjacent.
-		for j := step + 1; j < m; j++ {
-			if split > 0 && side[j] == side[step] {
+		for p, q := range mg.candQ {
+			if q < 0 {
 				continue
 			}
-			d2 := st.k.DistSq(v, verts[j])
-			if d2 > eps2 {
-				continue
+			cp := mg.comp[p]
+			if b := bestOf[cp]; b < 0 || lessEdge(st.edge(mg, int32(p)), st.edge(mg, b)) {
+				bestOf[cp] = int32(p)
 			}
-			w := d2
-			if cv > w {
-				w = cv
+		}
+		chosen = chosen[:0]
+		for _, p := range bestOf {
+			if p >= 0 {
+				chosen = append(chosen, p)
 			}
-			if cq := cd2[verts[j]]; cq > w {
-				w = cq
+		}
+		if len(chosen) == 0 {
+			break
+		}
+		// Two components may choose the same edge; the second copy finds
+		// its endpoints already joined.
+		slices.SortFunc(chosen, func(a, b int32) int {
+			ea, eb := st.edge(mg, a), st.edge(mg, b)
+			switch {
+			case lessEdge(ea, eb):
+				return -1
+			case lessEdge(eb, ea):
+				return 1
 			}
-			if w < key[j] {
-				key[j] = w
-				from[j] = id[step]
+			return 0
+		})
+		for _, p := range chosen {
+			q := mg.candQ[p]
+			if uf.Find(p) != uf.Find(q) {
+				uf.Union(p, q)
+				forest = append(forest, st.edge(mg, p))
 			}
 		}
 	}
-	return buf
+	if tm := st.p.Timings; tm != nil {
+		tm.Rounds += rounds
+		tm.DistEvals += evals
+	}
+	edges := make([]MREdge, len(forest)) // escapes into HierarchyData; never pooled
+	copy(edges, forest)
+	return edges
+}
+
+// searchCell finds, for every slot of cell g, its lightest edge to
+// another component and returns the number of distances it evaluated.
+func (st *pipeline) searchCell(mg *mrGraph, g int32) int64 {
+	var evals int64
+	eps2 := st.eps2
+	bbLo, bbHi := st.cells.BBLo, st.cells.BBHi
+	nbrs := mg.nbrs[g]
+	for p := mg.start[g]; p < mg.start[g+1]; p++ {
+		rp := mg.row[p]
+		mg.candQ[p] = -1
+		c := mg.comp[p]
+		cp := mg.cd2[p]
+		// Every edge of p weighs at least cp: when the component already
+		// has a strictly lighter edge, p cannot supply its choice.
+		if cp > math.Float64frombits(mg.bound[c].Load()) {
+			continue
+		}
+		best, bq := math.Inf(1), int32(-1)
+	scan:
+		for _, nb := range nbrs {
+			if nb.d2 >= best {
+				break // the rest lie farther still
+			}
+			h := nb.h
+			if mg.cellComp[h] == c || mg.cd2[mg.start[h]] >= best {
+				continue
+			}
+			if pb := st.k.PointBoxDistSqAt(rp, bbLo, bbHi, h); pb >= best || pb > eps2 {
+				continue
+			}
+			for q := mg.start[h]; q < mg.start[h+1]; q++ {
+				cq := mg.cd2[q]
+				if cq >= best {
+					break // ascending cd2: no lighter edge in this cell
+				}
+				if mg.comp[q] == c {
+					continue
+				}
+				d2 := st.k.DistSq(rp, mg.row[q])
+				evals++
+				if d2 > eps2 {
+					continue
+				}
+				w := max(cp, cq, d2)
+				if w < best {
+					best, bq = w, q
+					if w == cp {
+						break scan // no edge of p is lighter than cp
+					}
+				}
+			}
+		}
+		if bq >= 0 {
+			mg.candW[p], mg.candQ[p] = best, bq
+			atomicMinBits(&mg.bound[c], best)
+		}
+	}
+	return evals
+}
+
+// atomicMinBits lowers a, the bits of a non-negative float64, to v's bits
+// if v is smaller. Non-negative float64 values order like their bit
+// patterns.
+func atomicMinBits(a *atomic.Uint64, v float64) {
+	nb := math.Float64bits(v)
+	for {
+		old := a.Load()
+		if nb >= old || a.CompareAndSwap(old, nb) {
+			return
+		}
+	}
 }
 
 // makeMREdge orders the endpoints of an edge of squared weight w2.
@@ -456,33 +534,4 @@ func makeMREdge(p, q int32, w2 float64) MREdge {
 		p, q = q, p
 	}
 	return MREdge{W2: w2, A: p, B: q}
-}
-
-// mergeMSF concatenates the per-block MSFs, sorts them in parallel by the
-// total order, and runs one serial Kruskal pass to the final forest. The
-// input is at most (blocks × (n-1)) edges, so this tail is cheap relative to
-// the enumeration phase.
-func (st *pipeline) mergeMSF(parts [][]MREdge) []MREdge {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	all := make([]MREdge, 0, total)
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	prim.Sort(st.ex, all, lessEdge)
-	n := st.cells.Pts.N
-	st.rs.uf.Reset(n)
-	uf := &st.rs.uf
-	kept := all[:0]
-	for _, e := range all {
-		if uf.Find(e.A) != uf.Find(e.B) {
-			uf.Union(e.A, e.B)
-			kept = append(kept, e)
-		}
-	}
-	edges := make([]MREdge, len(kept))
-	copy(edges, kept)
-	return edges
 }

@@ -110,7 +110,8 @@ type Params struct {
 	PhaseHook func(phase string)
 }
 
-// PhaseTimings records how long each pipeline phase of one run took.
+// PhaseTimings records how long each pipeline phase of one run took and,
+// for ComputeHierarchy builds, the work counters of the edges phase.
 type PhaseTimings struct {
 	Mark    time.Duration // MarkCore (Algorithm 2)
 	Collect time.Duration // per-cell core lists, boxes, core-cell set
@@ -120,9 +121,11 @@ type PhaseTimings struct {
 	Border  time.Duration // ClusterBorder (Algorithm 4)
 
 	// ComputeHierarchy phases (zero on clustering runs).
-	CoreDist time.Duration // per-point core distances
-	Edges    time.Duration // mutual-reachability candidate enumeration + per-block Kruskal
-	MST      time.Duration // global sort + final Kruskal merge
+	CoreDist  time.Duration // per-point core distances
+	Edges     time.Duration // Borůvka rounds: the mutual-reachability forest
+	MST       time.Duration // sort of the forest by (W2, A, B)
+	Rounds    int           // Borůvka rounds run; the last one finds no edge
+	DistEvals int64         // point-pair distances evaluated in the rounds
 }
 
 // Result is the clustering output.

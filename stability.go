@@ -3,6 +3,7 @@ package pdbscan
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // StableCluster describes one cluster selected by ExtractStable.
@@ -68,11 +69,19 @@ func (h *Hierarchy) ExtractStable(minClusterSize int) (*StableResult, error) {
 // linkageForest is the binary merge tree of the MSF replay: nodes 0..n-1 are
 // the points; node n+t is the component formed by edge t. Children always
 // have smaller ids than their parent, so one ascending pass computes sizes.
+//
+// Merges at one weight nest in whatever order the forest lists their edges,
+// and different minimum spanning forests of one graph list them differently;
+// condense therefore reads every run of merges at one weight as a single
+// multi-way merge, and orders siblings by minPt, which — like the sizes and
+// weights — is the same for every forest.
 type linkageForest struct {
 	n           int
 	left, right []int32   // children of node n+t
+	w2          []float64 // squared edge weight of node n+t
 	dist        []float64 // sqrt edge weight of node n+t
 	size        []int32   // subtree point count, all nodes
+	minPt       []int32   // least point index in the subtree, all nodes
 	parent      []int32   // parent node id, -1 for roots
 	lambdaCap   float64   // 1/dist clamp for zero-length merges
 }
@@ -84,8 +93,10 @@ func (h *Hierarchy) linkageForest() *linkageForest {
 		n:     n,
 		left:  make([]int32, mEdges),
 		right: make([]int32, mEdges),
+		w2:    make([]float64, mEdges),
 		dist:  make([]float64, mEdges),
 		size:  make([]int32, n+mEdges),
+		minPt: make([]int32, n+mEdges),
 		parent: func() []int32 {
 			p := make([]int32, n+mEdges)
 			for i := range p {
@@ -96,6 +107,7 @@ func (h *Hierarchy) linkageForest() *linkageForest {
 	}
 	for i := 0; i < n; i++ {
 		f.size[i] = 1
+		f.minPt[i] = int32(i)
 	}
 	// Serial union-find replay in edge order; nodeOf[root] tracks the
 	// current tree node of each live component.
@@ -120,12 +132,14 @@ func (h *Hierarchy) linkageForest() *linkageForest {
 		uf[ra] = rb
 		id := int32(n + t)
 		f.left[t], f.right[t] = na, nb
+		f.w2[t] = e.W2
 		d := math.Sqrt(e.W2)
 		f.dist[t] = d
 		if d > 0 && d < minPos {
 			minPos = d
 		}
 		f.size[id] = f.size[na] + f.size[nb]
+		f.minPt[id] = min(f.minPt[na], f.minPt[nb])
 		f.parent[na], f.parent[nb] = id, id
 		nodeOf[rb] = id
 	}
@@ -167,12 +181,19 @@ type condensed struct {
 }
 
 // condense walks each sufficiently-large root of the linkage forest top-down
-// (iteratively — chain-shaped linkages are O(n) deep). At each split: two
-// big children start two new clusters; one big child continues the current
-// cluster while the small side's points fall out as noise-at-that-level;
-// two small children dissolve the cluster.
+// (iteratively — chain-shaped linkages are O(n) deep), one weight level at a
+// time: all merges at one weight form a single multi-way merge, whose
+// children are the components just below that weight. At each level, two or
+// more big children start new clusters; one big child continues the current
+// cluster; no big child dissolves it. Small children's points fall out as
+// noise-at-that-level in every case.
+//
+// The levels, their children and (through minPt) the order in which
+// clusters are created depend only on the graph, not on which minimum
+// spanning forest h holds, and every cluster's stability is summed level by
+// level in that order, so the result is the same for all of them.
 func (h *Hierarchy) condense(f *linkageForest, m int32) *condensed {
-	n := f.n
+	n := int32(f.n)
 	cl := &condensed{
 		pointCid: make([]int32, n),
 		pointL:   make([]float64, n),
@@ -187,6 +208,7 @@ func (h *Hierarchy) condense(f *linkageForest, m int32) *condensed {
 		cl.stability = append(cl.stability, 0)
 		return id
 	}
+	byMinPt := func(a, b int32) int { return int(f.minPt[a]) - int(f.minPt[b]) }
 	// fallOut assigns every leaf under node to cid at level lam.
 	var leafStack []int32
 	fallOut := func(node, cid int32, lam float64) {
@@ -194,29 +216,52 @@ func (h *Hierarchy) condense(f *linkageForest, m int32) *condensed {
 		for len(leafStack) > 0 {
 			nd := leafStack[len(leafStack)-1]
 			leafStack = leafStack[:len(leafStack)-1]
-			if nd < int32(n) {
+			if nd < n {
 				cl.pointCid[nd] = cid
 				cl.pointL[nd] = lam
-				cl.stability[cid] += lam - cl.birthL[cid]
 				continue
 			}
-			t := nd - int32(n)
+			t := nd - n
 			leafStack = append(leafStack, f.left[t], f.right[t])
 		}
 	}
-	rootL := f.lambda(h.eps)
+	// levelChildren returns the children of node's level, ordered by
+	// minPt: a child merged at node's own weight is expanded into its
+	// children.
+	var kids, expand []int32
+	levelChildren := func(node int32) []int32 {
+		t := node - n
+		kids = kids[:0]
+		expand = append(expand[:0], f.left[t], f.right[t])
+		for len(expand) > 0 {
+			c := expand[len(expand)-1]
+			expand = expand[:len(expand)-1]
+			if c >= n && f.w2[c-n] == f.w2[t] {
+				expand = append(expand, f.left[c-n], f.right[c-n])
+				continue
+			}
+			kids = append(kids, c)
+		}
+		slices.SortFunc(kids, byMinPt)
+		return kids
+	}
 	type frame struct {
 		node int32
 		cid  int32
 	}
 	var stack []frame
-	for id := n + len(f.dist) - 1; id >= 0; id-- {
-		if f.parent[id] != -1 || f.size[id] < m {
-			continue
+	var roots []int32
+	for id := int32(0); id < n+int32(len(f.dist)); id++ {
+		if f.parent[id] == -1 && f.size[id] >= m {
+			roots = append(roots, id)
 		}
+	}
+	slices.SortFunc(roots, byMinPt)
+	rootL := f.lambda(h.eps)
+	for _, r := range roots {
 		// A root with >= m points: a selectable cluster born at the build
 		// radius (the hierarchy answers no level above it).
-		stack = append(stack, frame{int32(id), newCluster(-1, rootL)})
+		stack = append(stack, frame{r, newCluster(-1, rootL)})
 	}
 	for len(stack) > 0 {
 		fr := stack[len(stack)-1]
@@ -225,32 +270,33 @@ func (h *Hierarchy) condense(f *linkageForest, m int32) *condensed {
 		for {
 			// node has >= m points, so it is an internal node (leaves have
 			// size 1 < m).
-			t := node - int32(n)
-			l, r := f.left[t], f.right[t]
-			lam := f.lambda(f.dist[t])
-			bigL, bigR := f.size[l] >= m, f.size[r] >= m
-			if bigL && bigR {
-				// True split: the cluster's points all persist to lam, then
-				// continue as two new child clusters.
-				cl.stability[cid] += float64(f.size[l]+f.size[r]) * (lam - cl.birthL[cid])
-				stack = append(stack, frame{l, newCluster(cid, lam)})
-				stack = append(stack, frame{r, newCluster(cid, lam)})
+			lam := f.lambda(f.dist[node-n])
+			next, big := int32(-1), 0
+			for _, k := range levelChildren(node) {
+				if f.size[k] >= m {
+					next = k
+					big++
+				}
+			}
+			// The points that leave the cluster here all persist to lam: on
+			// a true split that is all of them, otherwise the small side.
+			persist := f.size[node]
+			if big == 1 {
+				persist -= f.size[next]
+			}
+			cl.stability[cid] += float64(persist) * (lam - cl.birthL[cid])
+			for _, k := range kids {
+				switch {
+				case f.size[k] < m:
+					fallOut(k, cid, lam)
+				case big >= 2:
+					stack = append(stack, frame{k, newCluster(cid, lam)})
+				}
+			}
+			if big != 1 {
 				break
 			}
-			if !bigL && !bigR {
-				// Both sides shrink below m: the cluster dissolves here.
-				fallOut(l, cid, lam)
-				fallOut(r, cid, lam)
-				break
-			}
-			// One side sheds points; the cluster continues down the other.
-			if bigL {
-				fallOut(r, cid, lam)
-				node = l
-			} else {
-				fallOut(l, cid, lam)
-				node = r
-			}
+			node = next
 		}
 	}
 	return cl
